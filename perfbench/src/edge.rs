@@ -5,10 +5,11 @@
 use crate::nets::{edge_inputs, reference, tiny_net, TINY_NAME};
 use crate::spans::Spans;
 use crate::stats::{
-    logits_match, median, parse_logits, peak_rss_mb, sleep_until, PromHist, Scrape, Window,
+    logits_match, mid_mean, parse_logits, peak_rss_mb, sleep_until, PromHist, Scrape, Window,
 };
 use crate::{lag_bound_us, Outcome, Phase, RunConfig};
 use einstein_barrier::bitnn::Tensor;
+use einstein_barrier::PoolConfig;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -20,12 +21,10 @@ const LIGHT_RATE: f64 = 1000.0;
 /// Share of `--seconds` spent in the light phase (the rest is peak).
 const LIGHT_SHARE: f64 = 0.5;
 /// eb-serve processes started (and killed) to time set-up, before the
-/// serving process starts and again after it exits.
-const SETUP_BURST: usize = 10;
+/// serving process starts, between the phases, and after it exits.
+const SETUP_BURST: usize = 7;
 /// Distinct request inputs cycled through.
 const INPUTS: usize = 1024;
-/// eb-serve's default micro-batch bound.
-const MAX_BATCH: f64 = 32.0;
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A keep-alive HTTP/1.1 client connection.
@@ -249,7 +248,7 @@ struct Load<'a> {
 }
 
 impl Load<'_> {
-    fn send(&self, conn: &mut Conn, id: u64, intended: Instant, lag_us: Option<f64>) -> Rec {
+    fn send(&self, conn: &mut Conn, id: u64, intended: Instant) -> Rec {
         let i = id as usize % self.requests.len();
         let sent = Instant::now();
         let reply = conn.exchange_or_reconnect(&self.requests[i]);
@@ -268,7 +267,7 @@ impl Load<'_> {
             intended,
             sent,
             done,
-            lag_us,
+            lag_us: None,
             status,
             ok,
         }
@@ -277,19 +276,19 @@ impl Load<'_> {
     /// Open loop: generator `k` of 2 sends requests `k, k+2, …` at their
     /// scheduled instants.
     fn open_loop(&self, conn: &mut Conn, k: u64, n: u64, first_id: u64, t0: Instant) -> Vec<Rec> {
-        (k..n)
-            .step_by(2)
-            .map(|i| {
-                let intended = t0 + Duration::from_secs_f64(i as f64 / LIGHT_RATE);
-                // Lag counts only when the generator was idle before the
-                // due instant; a reply arriving late is server backlog.
-                let lag = (Instant::now() < intended).then(|| {
-                    sleep_until(intended);
-                    intended.elapsed().as_secs_f64() * 1e6
-                });
-                self.send(conn, first_id + i, intended, lag)
-            })
-            .collect()
+        let mut recs: Vec<Rec> = Vec::new();
+        for i in (k..n).step_by(2) {
+            let intended = t0 + Duration::from_secs_f64(i as f64 / LIGHT_RATE);
+            sleep_until(intended);
+            // No request goes out before the previous reply on its
+            // connection is in: that wait is server backlog. Whatever
+            // follows the later of the two instants is generator lag.
+            let free = recs.last().map_or(intended, |r| r.done.max(intended));
+            let mut rec = self.send(conn, first_id + i, intended);
+            rec.lag_us = Some(rec.sent.saturating_duration_since(free).as_secs_f64() * 1e6);
+            recs.push(rec);
+        }
+        recs
     }
 
     /// Closed loop: one request outstanding until `end`.
@@ -297,7 +296,7 @@ impl Load<'_> {
         let mut recs = Vec::new();
         let mut id = first_id + k;
         while Instant::now() < end {
-            recs.push(self.send(conn, id, Instant::now(), None));
+            recs.push(self.send(conn, id, Instant::now()));
             id += 2;
         }
         recs
@@ -333,19 +332,27 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Result<Outcome, String> {
         want: &want,
     };
 
-    // Set-up: start → model served, timed at both ends of the run.
-    let mut setup = Vec::with_capacity(2 * SETUP_BURST + 1);
+    // Set-up: start → model served. The host's speed drifts over tens of
+    // seconds, so set-up is timed before the load, between its phases
+    // and after it. The first start, which pages the binary in, is not
+    // timed.
+    Served::spawn(&binary, &model)?.kill();
+    let mut setup = Vec::with_capacity(3 * SETUP_BURST + 1);
     let time_setup = |setup: &mut Vec<f64>| -> Result<Served, String> {
         let t = Instant::now();
         let served = Served::spawn(&binary, &model)?;
         setup.push(t.elapsed().as_secs_f64());
         Ok(served)
     };
-    for _ in 0..SETUP_BURST {
-        time_setup(&mut setup)?.kill();
-    }
+    let burst = |setup: &mut Vec<f64>| -> Result<(), String> {
+        for _ in 0..SETUP_BURST {
+            time_setup(setup)?.kill();
+        }
+        Ok(())
+    };
+    burst(&mut setup)?;
     let served = time_setup(&mut setup)?;
-    let result = drive(cfg, &load, served.addr, spans);
+    let result = drive(cfg, &load, served.addr, spans, &mut || burst(&mut setup));
     let rss_mb = peak_rss_mb(&served.child.id().to_string()).unwrap_or(0.0);
     let (mut outcome, conn) = match result {
         Ok(ok) => ok,
@@ -356,21 +363,21 @@ pub fn run(cfg: &RunConfig, spans: &mut Spans) -> Result<Outcome, String> {
         }
     };
     served.shutdown(conn);
-    for _ in 0..SETUP_BURST {
-        time_setup(&mut setup)?.kill();
-    }
-    outcome.setup_s = median(&setup);
+    burst(&mut setup)?;
+    outcome.setup_s = mid_mean(&setup);
     outcome.rss_mb = rss_mb;
     Ok(outcome)
 }
 
-/// Warm-up, light and peak phases against a serving eb-serve; returns
-/// the outcome and a live connection for the shutdown request.
+/// Warm-up, light and peak phases against a serving eb-serve, calling
+/// `between` between the two phases; returns the outcome and a live
+/// connection for the shutdown request.
 fn drive(
     cfg: &RunConfig,
     load: &Load,
     addr: SocketAddr,
     spans: &mut Spans,
+    between: &mut dyn FnMut() -> Result<(), String>,
 ) -> Result<(Outcome, Conn), String> {
     let connect = || Conn::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"));
     let (mut c0, mut c1) = (connect()?, connect()?);
@@ -400,6 +407,7 @@ fn drive(
     } else {
         None
     };
+    between()?;
 
     let peak_s = cfg.seconds - light_s;
     let start = Instant::now();
@@ -429,19 +437,29 @@ fn drive(
             .chain(&peak_recs)
             .filter(|r| !(200..300).contains(&r.status))
             .count() as f64;
-        outcome.layers = edge_layers(&s0, &s1, &s2, &outcome.light, non_2xx);
+        // Timed from the send instant, not the intended one: a wait for
+        // the previous reply on the connection is server backlog, not
+        // wire time.
+        let served: Vec<f64> = light_recs
+            .iter()
+            .filter(|r| r.ok)
+            .map(|r| (r.done - r.sent).as_secs_f64() * 1e6)
+            .collect();
+        let client_mean_us = served.iter().sum::<f64>() / served.len().max(1) as f64;
+        outcome.layers = edge_layers(&s0, &s1, &s2, client_mean_us, non_2xx);
     }
     drop(c1);
     Ok((outcome, c0))
 }
 
 /// Per-layer metrics from the three scrapes around the light and peak
-/// phases (light = s1 − s0, peak = s2 − s1).
+/// phases (light = s1 − s0, peak = s2 − s1), given the client's mean
+/// light-phase send → reply time.
 fn edge_layers(
     s0: &Scrape,
     s1: &Scrape,
     s2: &Scrape,
-    light: &Phase,
+    client_mean_us: f64,
     non_2xx: f64,
 ) -> std::collections::BTreeMap<&'static str, f64> {
     let model = format!("model=\"{TINY_NAME}\"");
@@ -456,15 +474,13 @@ fn edge_layers(
     let delta = |name: &str| s2.total(name) - s0.total(name);
 
     let light_e2e = hist("eb_request_e2e_us", s0, s1);
-    let client_mean =
-        light.latencies_us.iter().sum::<f64>() / light.latencies_us.len().max(1) as f64;
     let peak_batch = hist("eb_batch_size", s1, s2).mean();
     let peak_exec = peak_stage("execute").mean();
     [
         ("net.parse_us.p50", light_stage("parse").quantile(0.5)),
         // Means, not p50s: the scrape's coarse buckets make a p50
         // difference meaningless, while its sum and count are exact.
-        ("net.wire_us.mean", client_mean - light_e2e.mean()),
+        ("net.wire_us.mean", client_mean_us - light_e2e.mean()),
         ("net.errors", delta("eb_net_wire_errors_total") + non_2xx),
         ("serve.queue_us.p50", light_stage("queue").quantile(0.5)),
         ("serve.queue_us.p99", light_stage("queue").quantile(0.99)),
@@ -473,7 +489,10 @@ fn edge_layers(
             hist("eb_batch_linger_us", s0, s1).quantile(0.5),
         ),
         ("serve.batch_size.mean", peak_batch),
-        ("serve.batch_fill", peak_batch / MAX_BATCH),
+        (
+            "serve.batch_fill",
+            peak_batch / PoolConfig::default().max_batch as f64,
+        ),
         ("serve.reply_us.p99", light_stage("reply").quantile(0.99)),
         ("serve.e2e_us.p50", light_e2e.quantile(0.5)),
         ("serve.shed", delta("eb_requests_shed_total")),

@@ -22,6 +22,19 @@ pub fn median(values: &[f64]) -> f64 {
     quantile(&sorted, 0.5)
 }
 
+/// Mean of the middle half of unsorted values. The host alternates
+/// between a fast and a slow regime for seconds at a time; a median of
+/// samples from both jumps from one regime to the other as their shares
+/// cross one half, while this moves smoothly with the shares and still
+/// ignores a stray stall.
+pub fn mid_mean(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    let middle = &sorted[n / 4..n - n / 4];
+    middle.iter().sum::<f64>() / middle.len().max(1) as f64
+}
+
 /// Samples strictly above `value` in an ascending slice.
 pub fn beyond(sorted: &[f64], value: f64) -> usize {
     sorted.len() - sorted.partition_point(|&v| v <= value)
@@ -332,6 +345,8 @@ mod tests {
         assert_eq!(quantile(&v, 0.99), 990.0);
         assert_eq!(beyond(&v, quantile(&v, 0.99)), 10);
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(mid_mean(&[100.0, 8.0, 13.0, 8.0, 13.0, 13.0, 8.0, 0.0]), 10.5);
+        assert_eq!(mid_mean(&[]), 0.0);
     }
 
     #[test]
