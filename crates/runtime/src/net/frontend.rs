@@ -5,11 +5,11 @@ use crate::error::EbError;
 use crate::net::http::{read_request, write_response, WireError, WireLimits};
 use crate::net::router::{route, Action, RouteCtx};
 use crate::serve::{lock_recovering, DynamicBatcher, Priority, Rejected, Server};
-use eb_telemetry::{Counter, Gauge, Registry, Trace};
+use eb_telemetry::{Counter, Gauge, Histogram, Registry, Trace};
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -82,10 +82,13 @@ impl NetConfig {
     }
 }
 
-/// Frontend counters, snapshotted by [`NetServer::stats`]. All counts
-/// are monotone and published with sequentially consistent ordering, so
-/// a caller that observed an effect (a response, a shed) finds it
-/// reflected here.
+/// Frontend counters, snapshotted by [`NetServer::stats`]. Each field is
+/// read from its `eb_net_*` series in the served [`Server`]'s metrics
+/// registry, the only store of that count, so a field and its series
+/// always agree; the scope is the [`Server`], shared by every frontend
+/// bound to it. All counts are monotone and bumped before the response
+/// they describe is written, so a caller that observed an effect (a
+/// response, a shed) finds it reflected here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Connections accepted off the listener (including ones later
@@ -117,53 +120,14 @@ pub struct NetStats {
     pub worker_respawns: u64,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    accepted: AtomicU64,
-    shed_connections: AtomicU64,
-    requests: AtomicU64,
-    responses_2xx: AtomicU64,
-    responses_4xx: AtomicU64,
-    responses_5xx: AtomicU64,
-    shed_requests: AtomicU64,
-    worker_panics: AtomicU64,
-    worker_respawns: AtomicU64,
-}
-
-impl Counters {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn response(&self, status: u16) {
-        match status {
-            200..=299 => Self::bump(&self.responses_2xx),
-            400..=499 => Self::bump(&self.responses_4xx),
-            _ => Self::bump(&self.responses_5xx),
-        }
-    }
-
-    fn snapshot(&self) -> NetStats {
-        NetStats {
-            accepted: self.accepted.load(Ordering::SeqCst),
-            shed_connections: self.shed_connections.load(Ordering::SeqCst),
-            requests: self.requests.load(Ordering::SeqCst),
-            responses_2xx: self.responses_2xx.load(Ordering::SeqCst),
-            responses_4xx: self.responses_4xx.load(Ordering::SeqCst),
-            responses_5xx: self.responses_5xx.load(Ordering::SeqCst),
-            shed_requests: self.shed_requests.load(Ordering::SeqCst),
-            worker_panics: self.worker_panics.load(Ordering::SeqCst),
-            worker_respawns: self.worker_respawns.load(Ordering::SeqCst),
-        }
-    }
-}
-
-/// The frontend's metrics-registry handles, resolved once at bind time
-/// when the served [`Server`] runs with telemetry. Mirrors [`NetStats`]
-/// series by series, plus two things the atomics never tracked:
-/// wire-parse failures by class and the open-connection gauge.
+/// The frontend's metrics-registry handles, resolved once at bind time:
+/// one counter per [`NetStats`] field, plus wire-parse failures by
+/// class, the open-connection gauge, and the uptime gauge a scrape
+/// stamps. The counters are `Relaxed` statistics that publish no other
+/// data; the only link between a bump and a client that read the
+/// response is the socket, which no atomic ordering strengthens.
 #[derive(Debug)]
-struct NetTelemetry {
+pub(crate) struct NetCounters {
     accepted: Counter,
     shed_connections: Counter,
     requests: Counter,
@@ -180,9 +144,11 @@ struct NetTelemetry {
     wire_closed: Counter,
     wire_io: Counter,
     connections_open: Gauge,
+    /// `eb_net_uptime_seconds`, set when `/metrics` is scraped.
+    pub(crate) uptime: Gauge,
 }
 
-impl NetTelemetry {
+impl NetCounters {
     fn register(registry: &Registry) -> Self {
         let wire = |class: &str| {
             registry.counter(
@@ -243,6 +209,11 @@ impl NetTelemetry {
                 "Connections currently held by a worker.",
                 &[],
             ),
+            uptime: registry.gauge(
+                "eb_net_uptime_seconds",
+                "Seconds since the frontend bound its listener.",
+                &[],
+            ),
         }
     }
 
@@ -264,6 +235,20 @@ impl NetTelemetry {
             _ => self.responses_5xx.inc(),
         }
     }
+
+    pub(crate) fn snapshot(&self) -> NetStats {
+        NetStats {
+            accepted: self.accepted.get(),
+            shed_connections: self.shed_connections.get(),
+            requests: self.requests.get(),
+            responses_2xx: self.responses_2xx.get(),
+            responses_4xx: self.responses_4xx.get(),
+            responses_5xx: self.responses_5xx.get(),
+            shed_requests: self.shed_requests.get(),
+            worker_panics: self.worker_panics.get(),
+            worker_respawns: self.worker_respawns.get(),
+        }
+    }
 }
 
 /// State shared by the acceptor, the workers, and the handle.
@@ -282,11 +267,7 @@ struct NetShared {
     /// [`NetServer::wait_shutdown_requested`] can block on a condvar.
     shutdown_flag: Mutex<bool>,
     shutdown_cv: Condvar,
-    counters: Counters,
-    /// Registry handles mirroring `counters`, present when the served
-    /// [`Server`] runs with telemetry (`GET /metrics` then scrapes
-    /// them). `None` costs the hot path nothing but the branch.
-    telemetry: Option<NetTelemetry>,
+    counters: NetCounters,
     /// When the listener was bound — the frontend's uptime origin,
     /// reported by `/healthz` and the `eb_net_uptime_seconds` gauge.
     started: Instant,
@@ -332,17 +313,22 @@ impl NetServer {
         let local_addr = listener
             .local_addr()
             .map_err(|e| EbError::Config(format!("cannot read bound address: {e}")))?;
-        let telemetry = registry.telemetry().map(|r| NetTelemetry::register(&r));
+        let counters = NetCounters::register(registry.metrics());
         let shared = Arc::new(NetShared {
             registry,
-            conns: DynamicBatcher::new(config.conn_backlog, 1, Duration::ZERO),
+            conns: DynamicBatcher::new(
+                config.conn_backlog,
+                1,
+                Duration::ZERO,
+                Gauge::new(),
+                Histogram::new(),
+            ),
             config,
             local_addr,
             stopping: AtomicBool::new(false),
             shutdown_flag: Mutex::new(false),
             shutdown_cv: Condvar::new(),
-            counters: Counters::default(),
-            telemetry,
+            counters,
             started: Instant::now(),
             respawned: Mutex::new(Vec::new()),
         });
@@ -472,10 +458,7 @@ fn acceptor_loop(shared: &NetShared, listener: &TcpListener) {
                     drop(stream);
                     break;
                 }
-                Counters::bump(&shared.counters.accepted);
-                if let Some(t) = &shared.telemetry {
-                    t.accepted.inc();
-                }
+                shared.counters.accepted.inc();
                 match shared.conns.try_offer(stream, Priority::Normal) {
                     Ok(()) => {}
                     Err(Rejected::Full(stream)) => shed_connection(shared, stream),
@@ -499,10 +482,7 @@ fn acceptor_loop(shared: &NetShared, listener: &TcpListener) {
 /// `503 + Retry-After`, then close. Never blocks the acceptor for more
 /// than one short write.
 fn shed_connection(shared: &NetShared, mut stream: TcpStream) {
-    Counters::bump(&shared.counters.shed_connections);
-    if let Some(t) = &shared.telemetry {
-        t.shed_connections.inc();
-    }
+    shared.counters.shed_connections.inc();
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     let body = br#"{"error":"connection queue at capacity; retry later"}"#;
     let retry = shared.config.retry_after_secs.to_string();
@@ -534,10 +514,7 @@ impl Drop for RespawnGuard {
         if !(self.armed && thread::panicking()) {
             return;
         }
-        Counters::bump(&self.shared.counters.worker_respawns);
-        if let Some(t) = &self.shared.telemetry {
-            t.worker_respawns.inc();
-        }
+        self.shared.counters.worker_respawns.inc();
         let shared = Arc::clone(&self.shared);
         let spawned = thread::Builder::new()
             .name("eb-net-worker-respawn".into())
@@ -557,31 +534,19 @@ fn worker_loop(shared: Arc<NetShared>) {
         for stream in batch {
             // Connection-level isolation: a panicking handler costs one
             // connection, not the worker (and never the listener).
-            if let Some(t) = &shared.telemetry {
-                t.connections_open.add(1.0);
-            }
+            shared.counters.connections_open.add(1.0);
             let outcome = catch_unwind(AssertUnwindSafe(|| handle_connection(&shared, stream)));
-            if let Some(t) = &shared.telemetry {
-                t.connections_open.add(-1.0);
-            }
+            shared.counters.connections_open.add(-1.0);
             match outcome {
                 Ok(ConnControl::Done) => {}
                 Ok(ConnControl::Panic) => {
                     // Chaos route: panic OUTSIDE the isolation boundary
                     // so the drill exercises the true worker-death →
                     // respawn path rather than the per-connection catch.
-                    Counters::bump(&shared.counters.worker_panics);
-                    if let Some(t) = &shared.telemetry {
-                        t.worker_panics.inc();
-                    }
+                    shared.counters.worker_panics.inc();
                     panic!("chaos panic requested via /admin/panic");
                 }
-                Err(_) => {
-                    Counters::bump(&shared.counters.worker_panics);
-                    if let Some(t) = &shared.telemetry {
-                        t.worker_panics.inc();
-                    }
-                }
+                Err(_) => shared.counters.worker_panics.inc(),
             }
         }
     }
@@ -627,14 +592,9 @@ fn handle_connection(shared: &NetShared, mut stream: TcpStream) -> ConnControl {
             Err(e) => {
                 // Wire-level failure: answer if a status applies, then
                 // close — the carry buffer is unusable after an error.
-                if let Some(t) = &shared.telemetry {
-                    t.wire_error(&e).inc();
-                }
+                shared.counters.wire_error(&e).inc();
                 if let Some((status, _reason)) = e.status() {
                     shared.counters.response(status);
-                    if let Some(t) = &shared.telemetry {
-                        t.response(status);
-                    }
                     let body = format!(
                         r#"{{"error":{}}}"#,
                         super::router::json_string(&e.to_string())
@@ -657,19 +617,16 @@ fn handle_connection(shared: &NetShared, mut stream: TcpStream) -> ConnControl {
                 return ConnControl::Done;
             }
         };
-        Counters::bump(&shared.counters.requests);
-        if let Some(t) = &shared.telemetry {
-            t.requests.inc();
-        }
+        shared.counters.requests.inc();
         // The trace is born here, right after the last wire byte, so
         // Accepted→Parsed measures routing + body parse, never socket
-        // reads. Created only when telemetry is on.
+        // reads.
         let ctx = RouteCtx {
             chaos: shared.config.chaos,
             retry_after_secs: shared.config.retry_after_secs,
-            uptime_secs: shared.started.elapsed().as_secs_f64(),
-            net: shared.counters.snapshot(),
-            trace: shared.telemetry.as_ref().map(|_| Trace::begin()),
+            started: shared.started,
+            net: &shared.counters,
+            trace: Trace::begin(),
         };
         let (resp, action) = route(&shared.registry, &req, &ctx);
         if action == Action::Panic {
@@ -680,14 +637,8 @@ fn handle_connection(shared: &NetShared, mut stream: TcpStream) -> ConnControl {
         let close =
             !req.keep_alive || action == Action::Shutdown || shared.stopping.load(Ordering::SeqCst);
         shared.counters.response(resp.status);
-        if let Some(t) = &shared.telemetry {
-            t.response(resp.status);
-        }
         if resp.shed {
-            Counters::bump(&shared.counters.shed_requests);
-            if let Some(t) = &shared.telemetry {
-                t.shed_requests.inc();
-            }
+            shared.counters.shed_requests.inc();
         }
         let mut extra: Vec<(&str, String)> = Vec::new();
         if let Some(secs) = resp.retry_after {

@@ -27,9 +27,8 @@
 //! contract as a hot swap: stop accepting, serve every connection
 //! already accepted, finish in-flight tickets, join every thread.
 //!
-//! When the served [`Server`](crate::serve::Server) runs with
-//! telemetry (the default),
-//! `GET /metrics` exposes the whole metrics registry in Prometheus
+//! `GET /metrics` exposes the served
+//! [`Server`](crate::serve::Server)'s whole metrics registry in Prometheus
 //! text exposition format — frontend wire counters (`eb_net_*`,
 //! including wire-error classes and an open-connection gauge)
 //! alongside the per-model serving series — and `GET /healthz`

@@ -6,31 +6,31 @@
 //! socket handling stays in the frontend.
 
 use crate::error::EbError;
-use crate::net::frontend::NetStats;
+use crate::net::frontend::NetCounters;
 use crate::net::http::HttpRequest;
 use crate::serve::{Priority, Request, Server};
 use crate::session::predicted_class;
 use eb_bitnn::Tensor;
 use eb_telemetry::{LatencyHistogram, Stage, Trace};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-request context the frontend hands to [`route`]: config knobs,
-/// the live frontend counters (for `/healthz` and `/metrics`), and the
-/// request's stage trace when telemetry is on.
+/// the live frontend counters (read only by `/healthz`), and the
+/// request's stage trace.
 #[derive(Debug)]
-pub(crate) struct RouteCtx {
+pub(crate) struct RouteCtx<'a> {
     /// Whether `POST /admin/panic` is routable.
     pub chaos: bool,
     /// `Retry-After` seconds advertised on shed responses.
     pub retry_after_secs: u32,
-    /// Seconds since the frontend bound its listener.
-    pub uptime_secs: f64,
-    /// Frontend counters as of this request.
-    pub net: NetStats,
+    /// When the frontend bound its listener (the uptime origin).
+    pub started: Instant,
+    /// The frontend's live counters.
+    pub net: &'a NetCounters,
     /// The request's trace, stamped [`Stage::Accepted`] right after it
-    /// left the wire. `Some` exactly when the server runs telemetry;
-    /// predict stamps [`Stage::Parsed`] and threads it onto the ticket.
-    pub trace: Option<Trace>,
+    /// left the wire; predict stamps [`Stage::Parsed`] and threads it
+    /// onto the ticket.
+    pub trace: Trace,
 }
 
 /// A response the frontend still has to serialise.
@@ -192,10 +192,9 @@ fn predict(registry: &Server, name: &str, req: &HttpRequest, ctx: &RouteCtx) -> 
     if let Some(d) = deadline {
         submit = submit.deadline(d);
     }
-    if let Some(mut trace) = ctx.trace {
-        trace.stamp(Stage::Parsed);
-        submit = submit.trace(trace);
-    }
+    let mut trace = ctx.trace;
+    trace.stamp(Stage::Parsed);
+    submit = submit.trace(trace);
     let ticket = match handle.try_submit(submit) {
         Ok(t) => t,
         Err(EbError::Overloaded) => {
@@ -244,13 +243,15 @@ fn json_stage_summary(h: &LatencyHistogram) -> String {
 }
 
 /// `GET /v1/models/{name}:stats` — the pool counters as JSON, plus a
-/// per-stage latency block when the server runs telemetry.
+/// per-stage latency block.
 fn stats(registry: &Server, name: &str) -> Response {
     match registry.stats(name) {
         Ok(stats) => {
             let total = stats.total();
+            // A model retired between the two reads answers without
+            // its stage block.
             let stages = match registry.stage_histograms(name) {
-                Ok(Some(st)) => {
+                Ok(st) => {
                     let entries: Vec<String> = st
                         .stages()
                         .iter()
@@ -260,7 +261,7 @@ fn stats(registry: &Server, name: &str) -> Response {
                         .collect();
                     format!(r#","stages":{{{}}}"#, entries.join(","))
                 }
-                _ => String::new(),
+                Err(_) => String::new(),
             };
             Response::json(
                 200,
@@ -289,32 +290,23 @@ fn stats(registry: &Server, name: &str) -> Response {
 }
 
 /// `GET /metrics` — the whole registry in Prometheus text exposition
-/// format 0.0.4, or a `404` when the server runs without telemetry.
+/// format 0.0.4.
 fn metrics(registry: &Server, ctx: &RouteCtx) -> Response {
-    match registry.telemetry() {
-        Some(reg) => {
-            // Stamped at scrape time, so the gauge is exact for the
-            // scraper that just read it.
-            reg.gauge(
-                "eb_net_uptime_seconds",
-                "Seconds since the frontend bound its listener.",
-                &[],
-            )
-            .set(ctx.uptime_secs);
-            Response {
-                status: 200,
-                body: reg.render(),
-                content_type: "text/plain; version=0.0.4",
-                retry_after: None,
-                shed: false,
-            }
-        }
-        None => Response::error(404, "telemetry is disabled on this server"),
+    // Stamped at scrape time, so the gauge is exact for the scraper
+    // that just read it.
+    ctx.net.uptime.set(ctx.started.elapsed().as_secs_f64());
+    Response {
+        status: 200,
+        body: registry.metrics().render(),
+        content_type: "text/plain; version=0.0.4",
+        retry_after: None,
+        shed: false,
     }
 }
 
 /// `GET /healthz` — liveness plus the headline frontend totals.
 fn healthz(ctx: &RouteCtx) -> Response {
+    let net = ctx.net.snapshot();
     Response::json(
         200,
         format!(
@@ -322,10 +314,10 @@ fn healthz(ctx: &RouteCtx) -> Response {
                 r#"{{"status":"ok","uptime_secs":{:.3},"accepted":{},"#,
                 r#""served":{},"shed":{}}}"#
             ),
-            ctx.uptime_secs,
-            ctx.net.accepted,
-            ctx.net.responses_2xx,
-            ctx.net.shed_connections + ctx.net.shed_requests
+            ctx.started.elapsed().as_secs_f64(),
+            net.accepted,
+            net.responses_2xx,
+            net.shed_connections + net.shed_requests
         ),
     )
 }

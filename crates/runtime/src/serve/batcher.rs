@@ -77,11 +77,10 @@ pub struct DynamicBatcher<T> {
     max_wait: Duration,
     /// Queue-depth gauge, updated under the state lock after every
     /// mutation so a scrape never sees a depth the queue never had.
-    /// `None` when telemetry is off (the common construction).
-    depth: Option<Gauge>,
+    depth: Gauge,
     /// Coalescing-window histogram (first item taken → batch handed
     /// out), recorded once per [`DynamicBatcher::next_batch`].
-    linger: Option<Histogram>,
+    linger: Histogram,
 }
 
 impl<T> fmt::Debug for DynamicBatcher<T> {
@@ -101,8 +100,18 @@ impl<T> DynamicBatcher<T> {
     /// A batcher holding at most `capacity` queued items, coalescing up
     /// to `max_batch` of them per [`DynamicBatcher::next_batch`] after
     /// lingering at most `max_wait` (both clamped to be at least
-    /// 1 item / zero wait).
-    pub fn new(capacity: usize, max_batch: usize, max_wait: Duration) -> Self {
+    /// 1 item / zero wait). `depth` tracks the queued item count (set
+    /// under the queue lock after every mutation) and `linger` records
+    /// each batch's coalescing window in microseconds; pass detached
+    /// [`Gauge::new`] / [`Histogram::new`] handles when nobody scrapes
+    /// them.
+    pub fn new(
+        capacity: usize,
+        max_batch: usize,
+        max_wait: Duration,
+        depth: Gauge,
+        linger: Histogram,
+    ) -> Self {
         Self {
             state: Mutex::new(BatcherState {
                 lanes: std::array::from_fn(|_| VecDeque::new()),
@@ -113,34 +122,15 @@ impl<T> DynamicBatcher<T> {
             capacity: capacity.max(1),
             max_batch: max_batch.max(1),
             max_wait,
-            depth: None,
-            linger: None,
-        }
-    }
-
-    /// [`DynamicBatcher::new`] plus telemetry: `depth` tracks the queued
-    /// item count (set under the queue lock after every mutation) and
-    /// `linger` records each batch's coalescing window in microseconds.
-    pub fn with_telemetry(
-        capacity: usize,
-        max_batch: usize,
-        max_wait: Duration,
-        depth: Gauge,
-        linger: Histogram,
-    ) -> Self {
-        Self {
-            depth: Some(depth),
-            linger: Some(linger),
-            ..Self::new(capacity, max_batch, max_wait)
+            depth,
+            linger,
         }
     }
 
     /// Publishes `st.len()` to the depth gauge; call before releasing
     /// the state lock so the gauge only ever shows real depths.
     fn publish_depth(&self, st: &BatcherState<T>) {
-        if let Some(depth) = &self.depth {
-            depth.set(st.len() as f64);
-        }
+        self.depth.set(st.len() as f64);
     }
 
     /// The per-micro-batch coalescing bound this batcher was built with.
@@ -243,9 +233,8 @@ impl<T> DynamicBatcher<T> {
                     .wait(st)
                     .unwrap_or_else(PoisonError::into_inner);
             }
-            // First item present: the coalescing window opens here
-            // (clocked only when a linger histogram is attached).
-            let linger_from = self.linger.as_ref().map(|_| Instant::now());
+            // First item present: the coalescing window opens here.
+            let linger_from = Instant::now();
             // Phase 2: linger for coalescing partners.
             if self.max_wait > Duration::ZERO && st.len() < self.max_batch && !st.closed {
                 // A linger too long to represent as an Instant (e.g.
@@ -287,9 +276,7 @@ impl<T> DynamicBatcher<T> {
             self.publish_depth(&st);
             drop(st);
             self.not_full.notify_all();
-            if let (Some(linger), Some(from)) = (&self.linger, linger_from) {
-                linger.record(from.elapsed().as_micros() as u64);
-            }
+            self.linger.record(linger_from.elapsed().as_micros() as u64);
             return Some(batch);
         }
     }
@@ -360,9 +347,20 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    /// A batcher with detached depth/linger instruments.
+    fn batcher<T>(capacity: usize, max_batch: usize, max_wait: Duration) -> DynamicBatcher<T> {
+        DynamicBatcher::new(
+            capacity,
+            max_batch,
+            max_wait,
+            Gauge::new(),
+            Histogram::new(),
+        )
+    }
+
     #[test]
     fn batcher_coalesces_up_to_max_batch() {
-        let b = DynamicBatcher::new(16, 4, Duration::from_millis(200));
+        let b = batcher(16, 4, Duration::from_millis(200));
         for i in 0..6 {
             b.submit(i).unwrap();
         }
@@ -375,7 +373,7 @@ mod tests {
 
     #[test]
     fn higher_priority_classes_drain_first_fifo_within_class() {
-        let b = DynamicBatcher::new(16, 8, Duration::ZERO);
+        let b = batcher(16, 8, Duration::ZERO);
         b.submit_at("low-1", Priority::Low).unwrap();
         b.submit_at("normal-1", Priority::Normal).unwrap();
         b.submit_at("high-1", Priority::High).unwrap();
@@ -389,7 +387,7 @@ mod tests {
 
     #[test]
     fn try_pop_takes_highest_priority_without_blocking() {
-        let b = DynamicBatcher::new(8, 8, Duration::ZERO);
+        let b = batcher(8, 8, Duration::ZERO);
         assert_eq!(b.try_pop(), None, "empty queue pops nothing");
         b.submit_at(1, Priority::Low).unwrap();
         b.submit_at(2, Priority::High).unwrap();
@@ -400,7 +398,7 @@ mod tests {
 
     #[test]
     fn try_offer_sheds_on_full_and_reports_closed() {
-        let b = DynamicBatcher::new(2, 8, Duration::ZERO);
+        let b = batcher(2, 8, Duration::ZERO);
         assert!(b.try_offer(1, Priority::Normal).is_ok());
         assert!(b.try_offer(2, Priority::High).is_ok());
         // Full: the item comes back instantly instead of blocking.
@@ -423,7 +421,7 @@ mod tests {
 
     #[test]
     fn batcher_close_drains_then_ends() {
-        let b = DynamicBatcher::new(8, 8, Duration::ZERO);
+        let b = batcher(8, 8, Duration::ZERO);
         b.submit("pending").unwrap();
         b.close();
         assert!(b.is_closed());
@@ -435,7 +433,7 @@ mod tests {
 
     #[test]
     fn batcher_backpressure_blocks_until_drained() {
-        let b = Arc::new(DynamicBatcher::new(1, 1, Duration::ZERO));
+        let b = Arc::new(batcher(1, 1, Duration::ZERO));
         b.submit(0u32).unwrap();
         let submitted = Arc::new(AtomicUsize::new(0));
         let producer = {
@@ -465,7 +463,7 @@ mod tests {
         // Several consumers share one batcher; a consumer whose linger
         // window ends after a sibling drained the queue must loop back
         // instead of handing out an empty batch.
-        let b = Arc::new(DynamicBatcher::new(64, 4, Duration::from_millis(5)));
+        let b = Arc::new(batcher(64, 4, Duration::from_millis(5)));
         let consumers: Vec<_> = (0..3)
             .map(|_| {
                 let b = Arc::clone(&b);

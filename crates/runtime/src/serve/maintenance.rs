@@ -15,10 +15,11 @@
 //! through the zero-dropped-tickets hot-swap path. Clients never see
 //! the repair — only their accuracy coming back.
 
+use crate::error::EbError;
 use crate::health::HealthProbe;
 use crate::serve::lock_recovering;
 use crate::serve::registry::ServerInner;
-use eb_telemetry::Counter;
+use eb_telemetry::{Counter, Registry};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
@@ -58,8 +59,13 @@ impl MaintenanceConfig {
     }
 }
 
-/// Counters of a maintenance loop, snapshot via
+/// Counters of a server's maintenance loops, snapshot via
 /// [`Server::maintenance_stats`](crate::Server::maintenance_stats).
+///
+/// Each field is read from its `eb_maintenance_*_total` series in the
+/// server's metrics registry, the only store of that count, so the
+/// counts span every loop the server has run: stopping a loop and
+/// starting another keeps counting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
     /// Completed probe rounds (one round probes every deployed model).
@@ -82,7 +88,7 @@ struct MaintenanceShared {
     stop: Mutex<bool>,
     /// Wakes the thread out of its interval sleep for prompt shutdown.
     wake: Condvar,
-    stats: Mutex<MaintenanceStats>,
+    counters: LoopCounters,
 }
 
 /// A running probe-and-heal thread (see the module docs). Owned by
@@ -102,25 +108,33 @@ impl fmt::Debug for MaintenanceLoop {
 
 impl MaintenanceLoop {
     /// Spawns the maintenance thread over a server's shared registry.
-    pub(crate) fn start(server: Arc<ServerInner>, config: MaintenanceConfig) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EbError::Config`] when the thread cannot be spawned.
+    pub(crate) fn start(
+        server: Arc<ServerInner>,
+        config: MaintenanceConfig,
+    ) -> Result<Self, EbError> {
         let shared = Arc::new(MaintenanceShared {
             stop: Mutex::new(false),
             wake: Condvar::new(),
-            stats: Mutex::new(MaintenanceStats::default()),
+            counters: LoopCounters::resolve(server.metrics()),
         });
         let thread_shared = Arc::clone(&shared);
         let thread = thread::Builder::new()
             .name("eb-maintenance".into())
             .spawn(move || maintenance_loop(&server, &config, &thread_shared))
-            .ok();
-        // A spawn failure (resource exhaustion) leaves `thread` None:
-        // the loop silently never runs, but stop/stats stay safe.
-        Self { shared, thread }
+            .map_err(|e| EbError::Config(format!("cannot spawn maintenance thread: {e}")))?;
+        Ok(Self {
+            shared,
+            thread: Some(thread),
+        })
     }
 
-    /// Snapshot of the loop's counters.
+    /// Snapshot of the server's maintenance counters.
     pub(crate) fn stats(&self) -> MaintenanceStats {
-        *lock_recovering(&self.shared.stats)
+        self.shared.counters.snapshot()
     }
 
     /// Stops the thread (interrupting any interval sleep), joins it, and
@@ -169,9 +183,8 @@ fn sleep_interval(shared: &MaintenanceShared, interval: Duration) -> bool {
     }
 }
 
-/// The loop's registry counters, mirroring [`MaintenanceStats`] series
-/// by series — resolved once when the thread starts (detached no-op
-/// handles when the server runs without telemetry).
+/// Handles on the server's `eb_maintenance_*_total` series, one per
+/// [`MaintenanceStats`] field — resolved once when the loop starts.
 struct LoopCounters {
     rounds: Counter,
     probes: Counter,
@@ -181,11 +194,8 @@ struct LoopCounters {
 }
 
 impl LoopCounters {
-    fn resolve(server: &ServerInner) -> Self {
-        let counter = |name: &str, help: &str| match server.metrics() {
-            Some(registry) => registry.counter(name, help, &[]),
-            None => Counter::new(),
-        };
+    fn resolve(registry: &Registry) -> Self {
+        let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
         Self {
             rounds: counter(
                 "eb_maintenance_rounds_total",
@@ -209,11 +219,21 @@ impl LoopCounters {
             ),
         }
     }
+
+    fn snapshot(&self) -> MaintenanceStats {
+        MaintenanceStats {
+            rounds: self.rounds.get(),
+            probes: self.probes.get(),
+            degradations: self.degradations.get(),
+            heals: self.heals.get(),
+            failures: self.failures.get(),
+        }
+    }
 }
 
 /// The thread body: probe every model, heal the degraded ones, repeat.
 fn maintenance_loop(server: &ServerInner, config: &MaintenanceConfig, shared: &MaintenanceShared) {
-    let counters = LoopCounters::resolve(server);
+    let counters = &shared.counters;
     while sleep_interval(shared, config.interval) {
         for name in server.model_names() {
             // Probe as ordinary traffic through the model's current pool.
@@ -222,33 +242,23 @@ fn maintenance_loop(server: &ServerInner, config: &MaintenanceConfig, shared: &M
                 Err(_) => {
                     // Retired mid-round or serving failure: skip it; the
                     // other models still get their checkup.
-                    lock_recovering(&shared.stats).failures += 1;
                     counters.failures.inc();
                     continue;
                 }
             };
-            lock_recovering(&shared.stats).probes += 1;
             counters.probes.inc();
             if report.is_healthy() {
                 continue;
             }
-            lock_recovering(&shared.stats).degradations += 1;
             counters.degradations.inc();
             if !config.auto_heal {
                 continue;
             }
             match server.heal(&name) {
-                Ok(_) => {
-                    lock_recovering(&shared.stats).heals += 1;
-                    counters.heals.inc();
-                }
-                Err(_) => {
-                    lock_recovering(&shared.stats).failures += 1;
-                    counters.failures.inc();
-                }
+                Ok(_) => counters.heals.inc(),
+                Err(_) => counters.failures.inc(),
             }
         }
-        lock_recovering(&shared.stats).rounds += 1;
         counters.rounds.inc();
     }
 }

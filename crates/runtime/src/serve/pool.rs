@@ -13,7 +13,6 @@ use eb_artifact::Prepared;
 use eb_bitnn::{Bnn, Tensor};
 use eb_telemetry::Registry;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::thread;
@@ -117,9 +116,15 @@ pub struct PoolStats {
     /// count. Published before the submitter sees the error, so a caller
     /// that just got `Overloaded` always finds its shed reflected here
     /// (read-your-own-writes, like the serving counters).
+    ///
+    /// Read from the `eb_requests_shed_total{model}` series, the only
+    /// store of this count: for a [`Server`](crate::Server) model it
+    /// spans every pool the model has had (swaps, injections and heals
+    /// keep counting), for a standalone [`ServePool`] it is that pool's.
     pub shed: u64,
     /// Requests refused because the pool was already shut down, counted
-    /// with the same read-your-own-writes ordering as
+    /// with the same read-your-own-writes ordering and read from
+    /// `eb_requests_rejected_total{model}` with the same scope as
     /// [`PoolStats::shed`]. Blocking and non-blocking submissions both
     /// land here once the pool closes.
     pub rejected: u64,
@@ -163,22 +168,14 @@ struct PoolShared {
     counters: Mutex<Vec<ReplicaCounters>>,
     last_health: Mutex<Option<HealthReport>>,
     backend: &'static str,
-    /// Load-shed count ([`PoolStats::shed`]); incremented *before* the
-    /// submitter observes [`EbError::Overloaded`].
-    shed: AtomicU64,
-    /// Closed-pool refusals ([`PoolStats::rejected`]); same ordering.
-    rejected: AtomicU64,
     /// Spin-up cost and resident-memory split, fixed at pool build time
     /// (see the [`PoolStats`] fields of the same names).
     prepare_ns: u64,
     core_bytes: u64,
     replica_bytes: u64,
-    /// Pre-resolved metric handles, present iff the pool was built with
-    /// telemetry ([`ServePool::with_telemetry`] or through a
-    /// telemetry-enabled [`Server`](crate::Server)). `None` keeps the
-    /// hot path exactly as cheap as before telemetry existed: no trace
-    /// stamping, no `Instant::now` calls, no atomics.
-    telemetry: Option<Arc<PoolTelemetry>>,
+    /// Pre-resolved metric handles: the stage histograms and the
+    /// served/shed/rejected counters [`PoolStats`] reads back.
+    telemetry: PoolTelemetry,
 }
 
 /// A sharded serving pool: N replica sessions behind one dynamic
@@ -211,24 +208,30 @@ impl ServePool {
     /// Prepares `config.replicas` sessions of `net` on `runtime`'s
     /// backend — the substrate is programmed **once** and replica `i`
     /// shares that core while drawing its execution noise from seed
-    /// `base_seed + i` — and starts one worker thread per replica.
+    /// `base_seed + i` — and starts one worker thread per replica. The
+    /// pool records its counters and stage histograms into a private
+    /// registry ([`ServePool::stage_snapshot`] and [`PoolStats`] read
+    /// them back).
     ///
     /// # Errors
     ///
     /// Returns [`EbError`] for a degenerate `config` or when any replica
     /// fails to prepare (nothing is left running in that case).
     pub fn new(runtime: &Runtime, net: &Bnn, config: PoolConfig) -> Result<Self, EbError> {
-        Self::with_prepared(runtime, net, config, None)
+        let telemetry = PoolTelemetry::register(&Registry::new(), net.name(), config.replicas);
+        Self::start(runtime, net, config, None, telemetry)
     }
 
-    /// Like [`ServePool::new`], but the substrate state restores from an
-    /// artifact's prepared-state snapshot instead of programming from
-    /// scratch (the deploy-from-file cold-start path) — and the restored
-    /// state feeds **all** replicas, exactly as a fresh prepare's
-    /// programmed-once core would. Replica 0 resumes the snapshot's RNG
-    /// positions (it serves the base seed the capture conditions are
-    /// validated against); replicas 1.. share the restored core with
-    /// fresh execution RNGs at `base_seed + i`.
+    /// [`ServePool::new`] recording into pre-resolved `telemetry`
+    /// handles (a [`Server`](crate::Server) resolves them from its
+    /// registry under the model's name). A `prepared` artifact snapshot
+    /// restores the substrate state instead of programming from scratch
+    /// (the deploy-from-file cold-start path) and feeds **all**
+    /// replicas, exactly as a fresh prepare's programmed-once core
+    /// would: replica 0 resumes the snapshot's RNG positions (it serves
+    /// the base seed the capture conditions are validated against);
+    /// replicas 1.. share the restored core with fresh execution RNGs
+    /// at `base_seed + i`.
     ///
     /// # Errors
     ///
@@ -236,43 +239,12 @@ impl ServePool {
     /// conditions conflict with the pool's backend/options (prepared
     /// state is never silently dropped), plus everything
     /// [`ServePool::new`] reports.
-    pub fn with_prepared(
+    pub(crate) fn start(
         runtime: &Runtime,
         net: &Bnn,
         config: PoolConfig,
         prepared: Option<Prepared>,
-    ) -> Result<Self, EbError> {
-        Self::with_prepared_telemetry(runtime, net, config, prepared, None)
-    }
-
-    /// [`ServePool::new`] with per-request telemetry: stage histograms,
-    /// served/shed/rejected counters, and a live queue-depth gauge, all
-    /// registered in `registry` under a `model` label. Handle resolution
-    /// happens here, once — the serving hot path only touches the
-    /// pre-resolved atomics.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`ServePool::new`]'s.
-    pub fn with_telemetry(
-        runtime: &Runtime,
-        net: &Bnn,
-        config: PoolConfig,
-        registry: &Registry,
-        model: &str,
-    ) -> Result<Self, EbError> {
-        let telemetry = Arc::new(PoolTelemetry::register(registry, model, config.replicas));
-        Self::with_prepared_telemetry(runtime, net, config, None, Some(telemetry))
-    }
-
-    /// The one real constructor: [`ServePool::with_prepared`] plus
-    /// optional pre-resolved telemetry handles.
-    pub(crate) fn with_prepared_telemetry(
-        runtime: &Runtime,
-        net: &Bnn,
-        config: PoolConfig,
-        prepared: Option<Prepared>,
-        telemetry: Option<Arc<PoolTelemetry>>,
+        telemetry: PoolTelemetry,
     ) -> Result<Self, EbError> {
         config.validate()?;
         // One call prepares the whole pool: the backend programs (or
@@ -294,23 +266,17 @@ impl ServePool {
         // core), private rinds summed across replicas.
         let core_bytes = sessions.first().map_or(0, |s| s.memory().core_bytes);
         let replica_bytes = sessions.iter().map(|s| s.memory().replica_bytes).sum();
-        let batcher = match &telemetry {
-            Some(t) => DynamicBatcher::with_telemetry(
+        let shared = Arc::new(PoolShared {
+            batcher: DynamicBatcher::new(
                 config.queue_capacity,
                 config.max_batch,
                 config.max_wait,
-                t.queue_depth.clone(),
-                t.linger_us.clone(),
+                telemetry.queue_depth.clone(),
+                telemetry.linger_us.clone(),
             ),
-            None => DynamicBatcher::new(config.queue_capacity, config.max_batch, config.max_wait),
-        };
-        let shared = Arc::new(PoolShared {
-            batcher,
             counters: Mutex::new(vec![ReplicaCounters::default(); config.replicas]),
             last_health: Mutex::new(None),
             backend: runtime.backend_name(),
-            shed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             prepare_ns,
             core_bytes,
             replica_bytes,
@@ -367,10 +333,9 @@ impl ServePool {
         stats_snapshot(&self.shared)
     }
 
-    /// Snapshot of the per-stage latency histograms, or `None` when the
-    /// pool was built without telemetry.
-    pub fn stage_snapshot(&self) -> Option<StageHistograms> {
-        self.shared.telemetry.as_ref().map(|t| t.stage_snapshot())
+    /// Snapshot of the per-stage latency histograms.
+    pub fn stage_snapshot(&self) -> StageHistograms {
+        self.shared.telemetry.stage_snapshot()
     }
 
     /// Runs a golden-canary health probe through the pool (see
@@ -487,9 +452,7 @@ impl PoolHandle {
         queued: QueuedRequest,
         priority: Priority,
     ) -> Result<(), QueuedRequest> {
-        if self.shared.telemetry.is_some() {
-            queued.guard.stamp_enqueued();
-        }
+        queued.guard.stamp_enqueued();
         self.shared.batcher.offer(queued, priority)
     }
 
@@ -504,30 +467,22 @@ impl PoolHandle {
         queued: QueuedRequest,
         priority: Priority,
     ) -> Result<(), Rejected<QueuedRequest>> {
-        if self.shared.telemetry.is_some() {
-            queued.guard.stamp_enqueued();
-        }
+        queued.guard.stamp_enqueued();
         self.shared.batcher.try_offer(queued, priority)
     }
 
-    /// Records one load-shed refusal (before the caller sees the error),
-    /// in both the pool-local counter and — when telemetry is on — the
-    /// registry's `eb_requests_shed_total{model}` series.
+    /// Records one load-shed refusal (before the caller sees the error)
+    /// in the `eb_requests_shed_total{model}` series. The counter is
+    /// `Relaxed`: the refused caller reads its own write, and the count
+    /// publishes no other data.
     pub(crate) fn note_shed(&self) {
-        self.shared.shed.fetch_add(1, Ordering::SeqCst);
-        if let Some(t) = &self.shared.telemetry {
-            t.shed.inc();
-        }
+        self.shared.telemetry.shed.inc();
     }
 
     /// Records one closed-pool refusal (before the caller sees the
-    /// error), mirrored to `eb_requests_rejected_total{model}` like
-    /// [`PoolHandle::note_shed`].
+    /// error) in the `eb_requests_rejected_total{model}` series.
     pub(crate) fn note_rejected(&self) {
-        self.shared.rejected.fetch_add(1, Ordering::SeqCst);
-        if let Some(t) = &self.shared.telemetry {
-            t.rejected.inc();
-        }
+        self.shared.telemetry.rejected.inc();
     }
 
     /// Runs one inference through the pool, blocking until a replica
@@ -572,10 +527,9 @@ impl PoolHandle {
         stats_snapshot(&self.shared)
     }
 
-    /// Snapshot of the per-stage latency histograms, or `None` when the
-    /// pool was built without telemetry.
-    pub fn stage_snapshot(&self) -> Option<StageHistograms> {
-        self.shared.telemetry.as_ref().map(|t| t.stage_snapshot())
+    /// Snapshot of the per-stage latency histograms.
+    pub fn stage_snapshot(&self) -> StageHistograms {
+        self.shared.telemetry.stage_snapshot()
     }
 
     /// Runs a golden-canary health probe *through the pool*: the canary
@@ -608,8 +562,8 @@ fn stats_snapshot(shared: &PoolShared) -> PoolStats {
         per_replica: counters.iter().map(|c| c.session).collect(),
         micro_batches: counters.iter().map(|c| c.micro_batches).collect(),
         last_health: *lock_recovering(&shared.last_health),
-        shed: shared.shed.load(Ordering::SeqCst),
-        rejected: shared.rejected.load(Ordering::SeqCst),
+        shed: shared.telemetry.shed.get(),
+        rejected: shared.telemetry.rejected.get(),
         queue_depth: shared.batcher.len(),
         prepare_ns: shared.prepare_ns,
         core_bytes: shared.core_bytes,
@@ -666,42 +620,34 @@ fn worker_loop(mut session: Box<dyn Session>, shared: Arc<PoolShared>, replica: 
         if live.is_empty() {
             continue;
         }
-        // Batch-wide execution clock, taken only when telemetry is on
-        // (two `Instant::now` calls per micro-batch, not per request):
-        // `exec_start` splits each member's batched→executed span into
-        // assembly ("batch") and substrate ("execute") stages.
-        let exec_start = shared.telemetry.as_ref().map(|_| Instant::now());
+        // Batch-wide execution clock (two `Instant::now` calls per
+        // micro-batch, not per request): `exec_start` splits each
+        // member's batched→executed span into assembly ("batch") and
+        // substrate ("execute") stages.
+        let exec_start = Instant::now();
         let served = serve_micro_batch(session.as_mut(), live);
         {
             let mut counters = lock_recovering(&shared.counters);
             counters[replica].session = session.stats();
             counters[replica].micro_batches += 1;
         }
-        match (&shared.telemetry, exec_start) {
-            (Some(telemetry), Some(exec_start)) => {
-                let executed = Instant::now();
-                telemetry.micro_batches.inc();
-                telemetry.batch_size.record(served.len() as u64);
-                telemetry.replica_execute_us[replica]
-                    .record(executed.duration_since(exec_start).as_micros() as u64);
-                for (guard, result) in served {
-                    // Stage spans and the served counter count *delivered
-                    // successes*: failed requests complete their tickets
-                    // but record nothing, so every histogram's count
-                    // equals the ok responses clients actually got.
-                    let ok = result.is_ok();
-                    guard.complete_served(result, executed, |trace| {
-                        if ok {
-                            telemetry.record_served(trace, exec_start);
-                        }
-                    });
+        let executed = Instant::now();
+        let telemetry = &shared.telemetry;
+        telemetry.micro_batches.inc();
+        telemetry.batch_size.record(served.len() as u64);
+        telemetry.replica_execute_us[replica]
+            .record(executed.duration_since(exec_start).as_micros() as u64);
+        for (guard, result) in served {
+            // Stage spans and the served counter count *delivered
+            // successes*: failed requests complete their tickets but
+            // record nothing, so every histogram's count equals the ok
+            // responses clients actually got.
+            let ok = result.is_ok();
+            guard.complete_served(result, executed, |trace| {
+                if ok {
+                    telemetry.record_served(trace, exec_start);
                 }
-            }
-            _ => {
-                for (guard, result) in served {
-                    guard.complete(result);
-                }
-            }
+            });
         }
     }
     drop(scuttle_on_panic);
@@ -878,17 +824,12 @@ mod tests {
         let net = Bnn::new("noop", eb_bitnn::Shape::Flat(1), vec![]).unwrap();
         let runtime = Runtime::builder().build();
         let registry = Registry::new();
-        let pool = ServePool::with_telemetry(
-            &runtime,
-            &net,
-            PoolConfig {
-                max_wait: Duration::ZERO,
-                ..PoolConfig::default()
-            },
-            &registry,
-            "m",
-        )
-        .unwrap();
+        let config = PoolConfig {
+            max_wait: Duration::ZERO,
+            ..PoolConfig::default()
+        };
+        let telemetry = PoolTelemetry::register(&registry, "m", config.replicas);
+        let pool = ServePool::start(&runtime, &net, config, None, telemetry).unwrap();
         let handle = pool.handle();
         let x = Tensor::zeros(&[1]);
         for _ in 0..8 {
@@ -897,7 +838,7 @@ mod tests {
         // Read-your-own-writes: with all 8 responses in hand, every
         // stage histogram already holds all 8 requests (parse is
         // net-frontend-only and stays empty on direct submission).
-        let stages = pool.stage_snapshot().unwrap();
+        let stages = pool.stage_snapshot();
         for (name, h) in stages.stages() {
             let want = if name == "parse" { 0 } else { 8 };
             assert_eq!(h.count(), want, "stage {name}");
@@ -909,8 +850,10 @@ mod tests {
         );
         assert!(text.contains("eb_queue_depth{model=\"m\"} 0"), "{text}");
         pool.shutdown();
-        // Refusals after shutdown mirror into the registry counters.
+        // Refusals after shutdown land in the registry counters, which
+        // are what the pool's stats read back.
         assert!(handle.infer(&x).is_err());
+        assert_eq!(handle.stats().rejected, 1);
         let text = registry.render();
         assert!(
             text.contains("eb_requests_rejected_total{model=\"m\"} 1"),

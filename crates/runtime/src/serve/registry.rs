@@ -183,11 +183,11 @@ pub struct Server {
 pub(crate) struct ServerInner {
     models: RwLock<HashMap<String, ModelEntry>>,
     defaults: ModelOpts,
-    /// The metrics registry every model pool, lifecycle event, and
-    /// frontend counter records into — `None` when the server was built
-    /// with [`ServerBuilder::no_telemetry`], which keeps every serving
-    /// hot path free of trace stamps and atomics.
-    telemetry: Option<Arc<MetricsRegistry>>,
+    /// The metrics registry every model pool, lifecycle event,
+    /// maintenance round and frontend counter records into — the only
+    /// store of those counts ([`PoolStats`], [`MaintenanceStats`] and
+    /// [`NetStats`](crate::NetStats) are read back from it).
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl fmt::Debug for Server {
@@ -219,25 +219,22 @@ impl ServerInner {
             .backend(opts.backend)
             .opts(session)
             .build();
-        // With telemetry on, resolve the pool's metric handles here —
-        // once per build, under the model's name label — so the worker
-        // hot path only ever touches pre-resolved atomics. A rebuilt
-        // (swapped/healed) pool resolves the *same* series: counters
-        // and histograms accumulate across the model's lifetime.
-        let telemetry = self
-            .telemetry
-            .as_ref()
-            .map(|registry| Arc::new(PoolTelemetry::register(registry, name, opts.pool.replicas)));
-        ServePool::with_prepared_telemetry(&runtime, net, opts.pool, prepared, telemetry)
+        // Resolve the pool's metric handles here — once per build,
+        // under the model's name label — so the worker hot path only
+        // ever touches pre-resolved atomics. A rebuilt (swapped/healed)
+        // pool resolves the *same* series: counters and histograms
+        // accumulate across the model's lifetime.
+        let telemetry = PoolTelemetry::register(&self.metrics, name, opts.pool.replicas);
+        ServePool::start(&runtime, net, opts.pool, prepared, telemetry)
     }
 
     /// Bumps a per-model lifecycle event counter (deploy / swap / fault
-    /// injection / heal / retire) when telemetry is on. Cold path only:
-    /// one registry lookup per event, never per request.
+    /// injection / heal / retire). Cold path only: one registry lookup
+    /// per event, never per request.
     fn note_event(&self, metric: &'static str, help: &'static str, model: &str) {
-        if let Some(registry) = &self.telemetry {
-            registry.counter(metric, help, &[("model", model)]).inc();
-        }
+        self.metrics
+            .counter(metric, help, &[("model", model)])
+            .inc();
     }
 
     /// The baseline options with `injected` (if any) overriding the
@@ -258,11 +255,10 @@ impl ServerInner {
         ))
     }
 
-    /// The server's metrics registry, if telemetry is on — what the
-    /// maintenance loop and the network frontend resolve their own
-    /// counters from.
-    pub(crate) fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.telemetry.as_ref()
+    /// The server's metrics registry — what the maintenance loop and
+    /// the network frontend resolve their own counters from.
+    pub(crate) fn metrics(&self) -> &Arc<MetricsRegistry> {
+        &self.metrics
     }
 
     pub(crate) fn model_names(&self) -> Vec<String> {
@@ -433,22 +429,20 @@ impl ServerInner {
             }
         };
         let report = handle.health(probe)?;
-        if let Some(registry) = &self.telemetry {
-            registry
-                .counter(
-                    "eb_health_probes_total",
-                    "Golden-canary health probes served by this model.",
-                    &[("model", name)],
-                )
-                .inc();
-            registry
-                .gauge(
-                    "eb_model_health_agreement",
-                    "Canary agreement ratio of the most recent health probe (0..1).",
-                    &[("model", name)],
-                )
-                .set(report.agreement);
-        }
+        self.metrics
+            .counter(
+                "eb_health_probes_total",
+                "Golden-canary health probes served by this model.",
+                &[("model", name)],
+            )
+            .inc();
+        self.metrics
+            .gauge(
+                "eb_model_health_agreement",
+                "Canary agreement ratio of the most recent health probe (0..1).",
+                &[("model", name)],
+            )
+            .set(report.agreement);
         Ok(report)
     }
 
@@ -693,7 +687,7 @@ impl Server {
     /// # Errors
     ///
     /// Returns [`EbError::Config`] when a maintenance loop is already
-    /// running.
+    /// running or its thread cannot be spawned.
     pub fn start_maintenance(&self, config: MaintenanceConfig) -> Result<(), EbError> {
         let mut maintenance = lock_recovering(&self.maintenance);
         if maintenance.is_some() {
@@ -701,20 +695,21 @@ impl Server {
                 "a maintenance loop is already running; stop it first".into(),
             ));
         }
-        *maintenance = Some(MaintenanceLoop::start(Arc::clone(&self.inner), config));
+        *maintenance = Some(MaintenanceLoop::start(Arc::clone(&self.inner), config)?);
         Ok(())
     }
 
-    /// Stops the maintenance loop (if one is running) and returns its
-    /// final counters.
+    /// Stops the maintenance loop (if one is running) and returns the
+    /// server's maintenance counters as of its last round.
     pub fn stop_maintenance(&self) -> Option<MaintenanceStats> {
         lock_recovering(&self.maintenance)
             .take()
             .map(MaintenanceLoop::stop)
     }
 
-    /// Counters of the running maintenance loop, or `None` when no loop
-    /// is active.
+    /// The server's maintenance counters while a loop is running, or
+    /// `None` when no loop is active. They count every loop this server
+    /// has run (see [`MaintenanceStats`]).
     pub fn maintenance_stats(&self) -> Option<MaintenanceStats> {
         lock_recovering(&self.maintenance)
             .as_ref()
@@ -758,13 +753,13 @@ impl Server {
         }
     }
 
-    /// Snapshot of model `name`'s per-stage latency histograms, or
-    /// `Ok(None)` when the server runs without telemetry.
+    /// Snapshot of model `name`'s per-stage latency histograms, which
+    /// accumulate across swaps like the model's counters.
     ///
     /// # Errors
     ///
     /// Returns [`EbError::Config`] for an unknown name.
-    pub fn stage_histograms(&self, name: &str) -> Result<Option<StageHistograms>, EbError> {
+    pub fn stage_histograms(&self, name: &str) -> Result<StageHistograms, EbError> {
         let models = read_recovering(&self.inner.models);
         match models.get(name) {
             Some(entry) => Ok(entry.pool.stage_snapshot()),
@@ -776,11 +771,15 @@ impl Server {
     }
 
     /// The metrics registry this server records into — render it for a
-    /// Prometheus scrape, or share it across servers by passing it to
-    /// [`ServerBuilder::telemetry`]. `None` when the server was built
-    /// with [`ServerBuilder::no_telemetry`].
+    /// Prometheus scrape. Every server has one, so this is always
+    /// `Some`.
     pub fn telemetry(&self) -> Option<Arc<MetricsRegistry>> {
-        self.inner.telemetry.clone()
+        Some(Arc::clone(&self.inner.metrics))
+    }
+
+    /// The metrics registry this server records into.
+    pub(crate) fn metrics(&self) -> &Arc<MetricsRegistry> {
+        &self.inner.metrics
     }
 
     /// The [`ModelOpts`] applied by [`Server::deploy`].
@@ -810,11 +809,6 @@ pub struct ServerBuilder {
     defaults: ModelOpts,
     models: Vec<(String, Bnn, Option<ModelOpts>)>,
     maintenance: Option<MaintenanceConfig>,
-    /// An externally supplied registry to record into; `None` means
-    /// mint a fresh one at [`ServerBuilder::serve`] (telemetry is on by
-    /// default).
-    telemetry: Option<Arc<MetricsRegistry>>,
-    telemetry_off: bool,
 }
 
 impl ServerBuilder {
@@ -865,47 +859,21 @@ impl ServerBuilder {
         self
     }
 
-    /// Records this server's metrics into `registry` instead of a
-    /// freshly minted one — how several servers (or a server and other
-    /// instrumented components) share one scrape surface.
-    pub fn telemetry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.telemetry = Some(registry);
-        self.telemetry_off = false;
-        self
-    }
-
-    /// Disables telemetry entirely: no registry, no per-request trace
-    /// stamps, no counters — the serving hot path is exactly the
-    /// pre-telemetry one. `GET /metrics` on a frontend over this server
-    /// answers 404.
-    pub fn no_telemetry(mut self) -> Self {
-        self.telemetry = None;
-        self.telemetry_off = true;
-        self
-    }
-
     /// Prepares every registered model's pool and starts the server.
     ///
     /// # Errors
     ///
-    /// Returns [`EbError::Config`] for duplicate model names and any
-    /// prepare-time [`EbError`] from a substrate; pools already started
-    /// are drained and torn down in that case.
+    /// Returns [`EbError::Config`] for duplicate model names and for a
+    /// maintenance thread that cannot be spawned, and any prepare-time
+    /// [`EbError`] from a substrate; pools already started are drained
+    /// and torn down in that case.
     pub fn serve(self) -> Result<Server, EbError> {
-        let telemetry = if self.telemetry_off {
-            None
-        } else {
-            Some(
-                self.telemetry
-                    .unwrap_or_else(|| Arc::new(MetricsRegistry::new())),
-            )
-        };
         let server = Server {
             maintenance: Mutex::new(None),
             inner: Arc::new(ServerInner {
                 models: RwLock::new(HashMap::new()),
                 defaults: self.defaults,
-                telemetry,
+                metrics: Arc::new(MetricsRegistry::new()),
             }),
         };
         for (name, net, opts) in self.models {
@@ -1066,8 +1034,10 @@ impl ModelHandle {
         crate::serve::infer_many_via(|req| self.submit(req), xs)
     }
 
-    /// Snapshot of the *current* pool's counters (a swap resets them —
-    /// the retired pool's finals are returned by [`Server::swap`]).
+    /// Snapshot of the *current* pool's counters. A swap resets the
+    /// per-replica counters (the retired pool's are returned by
+    /// [`Server::swap`]); [`PoolStats::shed`] and
+    /// [`PoolStats::rejected`] count for the model across swaps.
     pub fn stats(&self) -> PoolStats {
         read_recovering(&self.slot).handle.stats()
     }
@@ -1294,35 +1264,61 @@ mod tests {
 
     #[test]
     fn telemetry_is_on_by_default_and_tracks_lifecycle_events() {
+        use std::time::Duration;
+
         let net = mlp(21);
-        let server = Server::builder().model("m", &net).serve().unwrap();
-        let registry = server.telemetry().expect("telemetry defaults to on");
+        // Capacity 1 and a long linger: a lone request stays parked in
+        // the queue until its pool drains, so a second one always sheds.
+        let server = Server::builder()
+            .pool(PoolConfig {
+                replicas: 1,
+                max_batch: 2,
+                max_wait: Duration::from_secs(30),
+                queue_capacity: 1,
+            })
+            .model("m", &net)
+            .serve()
+            .unwrap();
+        let registry = server.telemetry().expect("every server has a registry");
+        let handle = server.handle("m").unwrap();
         let x = x();
-        server.handle("m").unwrap().infer(&x).unwrap();
-        let text = registry.render();
-        assert!(
-            text.contains("eb_model_deploys_total{model=\"m\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("eb_requests_served_total{model=\"m\"} 1"),
-            "{text}"
-        );
-        // A swap accumulates into the *same* series: the model served
-        // one request before and serves one after, so the counter
-        // reads 2 across the generation change.
+        let park_and_shed = || {
+            let parked = handle.try_submit(Request::new(x.clone())).unwrap();
+            let shed = handle.try_submit(Request::new(x.clone()));
+            assert!(matches!(shed, Err(EbError::Overloaded)), "{shed:?}");
+            parked
+        };
+        let parked = park_and_shed();
+        assert!(registry
+            .render()
+            .contains("eb_model_deploys_total{model=\"m\"} 1"));
+        // Each swap drains the old pool, serving the request parked in
+        // it. Counters accumulate into the *same* series: the model
+        // served one request in each of its first two pools, so the
+        // counter reads 2 across the generation changes.
         server.swap("m", &mlp(22)).unwrap();
-        server.handle("m").unwrap().infer(&x).unwrap();
+        parked.wait().unwrap();
+        let parked = park_and_shed();
+        server.swap("m", &mlp(23)).unwrap();
+        parked.wait().unwrap();
         let text = registry.render();
         assert!(
-            text.contains("eb_model_swaps_total{model=\"m\"} 1"),
+            text.contains("eb_model_swaps_total{model=\"m\"} 2"),
             "{text}"
         );
         assert!(
             text.contains("eb_requests_served_total{model=\"m\"} 2"),
             "counters must survive swaps:\n{text}"
         );
-        let stages = server.stage_histograms("m").unwrap().unwrap();
+        // One store per fact: `PoolStats::shed` reads the model's
+        // registry series, so the current pool reports both sheds.
+        let shed = server.stats("m").unwrap().shed;
+        assert_eq!(shed, 2);
+        assert!(
+            text.contains(&format!("eb_requests_shed_total{{model=\"m\"}} {shed}")),
+            "{text}"
+        );
+        let stages = server.stage_histograms("m").unwrap();
         assert_eq!(
             stages.e2e_us.count(),
             2,
@@ -1334,19 +1330,6 @@ mod tests {
             .unwrap()
             .render()
             .contains("eb_model_retires_total{model=\"m\"} 1"));
-    }
-
-    #[test]
-    fn no_telemetry_disables_registry_and_snapshots() {
-        let net = mlp(23);
-        let server = Server::builder()
-            .no_telemetry()
-            .model("m", &net)
-            .serve()
-            .unwrap();
-        assert!(server.telemetry().is_none());
-        server.handle("m").unwrap().infer(&x()).unwrap();
-        assert!(server.stage_histograms("m").unwrap().is_none());
     }
 
     #[test]

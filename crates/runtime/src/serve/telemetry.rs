@@ -1,7 +1,9 @@
 //! Pool-side telemetry: the pre-resolved metric handles a
-//! [`ServePool`](crate::ServePool) records into, and the
+//! [`ServePool`](crate::ServePool) records into — the only store of
+//! its served/shed/rejected counts, which
+//! [`PoolStats`](crate::PoolStats) reads back — and the
 //! [`StageHistograms`] snapshot the `:stats` JSON and shutdown reports
-//! read back.
+//! read.
 //!
 //! All handles are resolved from the [`Registry`] once, at pool
 //! spin-up (registry lookup takes a lock); the worker hot path only
@@ -18,9 +20,11 @@ pub(crate) struct PoolTelemetry {
     /// `eb_requests_served_total{model}` — requests completed with a
     /// successful result (the count every stage histogram matches).
     pub(crate) served: Counter,
-    /// `eb_requests_shed_total{model}` — queue-full refusals.
+    /// `eb_requests_shed_total{model}` — queue-full refusals
+    /// ([`PoolStats::shed`](crate::PoolStats::shed)).
     pub(crate) shed: Counter,
-    /// `eb_requests_rejected_total{model}` — closed-pool refusals.
+    /// `eb_requests_rejected_total{model}` — closed-pool refusals
+    /// ([`PoolStats::rejected`](crate::PoolStats::rejected)).
     pub(crate) rejected: Counter,
     /// `eb_micro_batches_total{model}`.
     pub(crate) micro_batches: Counter,
@@ -167,9 +171,10 @@ impl PoolTelemetry {
 /// or [`Server::stage_histograms`](crate::Server::stage_histograms) —
 /// the data behind the `stages` block of `:stats` JSON and the
 /// per-stage table in eb-serve's shutdown report. Every histogram's
-/// count equals the pool's served-ok count (each served request
-/// contributes to each stage); `parse_us` is the exception, populated
-/// only for requests that arrived through the HTTP frontend.
+/// count equals `eb_requests_served_total{model}` (each served request
+/// contributes to each stage, and both accumulate across a model's
+/// swaps); `parse_us` is the exception, populated only for requests
+/// that arrived through the HTTP frontend.
 #[derive(Debug, Clone, Default)]
 pub struct StageHistograms {
     /// Accepted → parsed (HTTP body parse; net-served requests only).

@@ -134,11 +134,9 @@ impl Request {
     }
 
     /// Attaches a stage [`Trace`] begun upstream (the HTTP frontend
-    /// stamps `accepted`/`parsed` before submission). A pool with
-    /// telemetry enabled stamps the remaining stages as the request
-    /// moves through it and folds the spans into its per-stage
-    /// histograms at completion; without one the trace rides along
-    /// untouched.
+    /// stamps `accepted`/`parsed` before submission). The pool stamps
+    /// the remaining stages as the request moves through it and folds
+    /// the spans into its per-stage histograms at completion.
     pub fn trace(mut self, trace: Trace) -> Self {
         self.trace = Some(trace);
         self
@@ -405,9 +403,8 @@ impl Ticket {
     }
 
     /// The request's stage [`Trace`] — attached via [`Request::trace`]
-    /// or begun by a telemetry-enabled pool at enqueue, and fully
-    /// stamped once the request is served. `None` when neither side
-    /// started one.
+    /// or begun by the pool at enqueue, and fully stamped once the
+    /// request is served. Every ticket a pool hands back carries one.
     pub fn trace(&self) -> Option<Trace> {
         lock_recovering(&self.core.cell).trace
     }
@@ -425,12 +422,6 @@ impl TicketGuard {
         self.0.claim()
     }
 
-    /// Publishes the serving result (no-op if the ticket already
-    /// completed, e.g. cancelled after claiming raced the claim).
-    pub(crate) fn complete(&self, result: Result<Tensor, EbError>) {
-        self.0.complete(result);
-    }
-
     /// Publishes a served result, stamping the trace's final stages and
     /// running `record` over it before the waiter can observe
     /// completion — see [`TicketCore::complete_served`].
@@ -443,8 +434,8 @@ impl TicketGuard {
         self.0.complete_served(result, executed, record)
     }
 
-    /// Stamps [`Stage::Enqueued`] on the request's trace — called by a
-    /// telemetry-enabled pool as it admits the request to its queue
+    /// Stamps [`Stage::Enqueued`] on the request's trace — called by the
+    /// pool as it admits the request to its queue
     /// (and again on a hot-swap re-offer, which re-enqueues for real).
     /// When the request carries no trace (direct pool submission, no
     /// HTTP frontend upstream), one is begun here so every served
@@ -495,7 +486,7 @@ mod tests {
         assert!(ticket.latency().is_none());
         assert!(matches!(guard.claim(), Claim::Claimed));
         assert_eq!(ticket.poll(), TicketStatus::Serving);
-        guard.complete(Ok(Tensor::zeros(&[2])));
+        guard.0.complete(Ok(Tensor::zeros(&[2])));
         assert_eq!(ticket.poll(), TicketStatus::Done);
         assert!(ticket.latency().is_some());
         assert_eq!(ticket.wait().unwrap(), Tensor::zeros(&[2]));
@@ -512,7 +503,7 @@ mod tests {
         let (guard, ticket) = submit_only(RequestOpts::default());
         assert!(matches!(guard.claim(), Claim::Claimed));
         assert!(!ticket.cancel(), "too late once serving");
-        guard.complete(Ok(Tensor::zeros(&[1])));
+        guard.0.complete(Ok(Tensor::zeros(&[1])));
         assert!(ticket.wait().is_ok(), "claimed requests deliver results");
     }
 

@@ -50,7 +50,6 @@ struct Args {
     write_timeout_ms: u64,
     retry_after_secs: u32,
     chaos: bool,
-    no_telemetry: bool,
     duration_s: u64,
 }
 
@@ -71,7 +70,6 @@ impl Default for Args {
             write_timeout_ms: 5000,
             retry_after_secs: 1,
             chaos: false,
-            no_telemetry: false,
             duration_s: 0,
         }
     }
@@ -101,7 +99,6 @@ USAGE: eb-serve [OPTIONS]
   --write-timeout-ms N    per-connection write timeout (default 5000)
   --retry-after-secs N    Retry-After advertised on 503 sheds (default 1)
   --chaos                 enable POST /admin/panic (worker-respawn drill)
-  --no-telemetry          disable the metrics registry (GET /metrics answers 404)
   --duration-s N          auto-shutdown after N seconds (0 = until /admin/shutdown)
   --help                  this text
 ";
@@ -164,7 +161,6 @@ fn parse_args() -> Result<Args, String> {
                     parse_num(&value("--retry-after-secs")?, "--retry-after-secs")?;
             }
             "--chaos" => args.chaos = true,
-            "--no-telemetry" => args.no_telemetry = true,
             "--duration-s" => args.duration_s = parse_num(&value("--duration-s")?, "--duration-s")?,
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
@@ -208,9 +204,6 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         .backend(args.backend)
         .seed(args.seed)
         .pool(args.pool);
-    if args.no_telemetry {
-        builder = builder.no_telemetry();
-    }
     for source in &args.models {
         if let ModelSource::Demo(name) = source {
             let net = demo_net(name, &args)?;
@@ -252,12 +245,10 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         args.pool.queue_capacity,
         args.workers,
     );
-    if !args.no_telemetry {
-        println!(
-            "eb-serve: metrics at http://{}/metrics (Prometheus text format)",
-            server.local_addr()
-        );
-    }
+    println!(
+        "eb-serve: metrics at http://{}/metrics (Prometheus text format)",
+        server.local_addr()
+    );
 
     // Park until the duration elapses or /admin/shutdown flips the flag.
     let started = Instant::now();
@@ -287,9 +278,9 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         stats.worker_respawns,
     );
     // Per-stage latency report, from the same histograms /metrics
-    // scrapes (absent under --no-telemetry or with zero traffic).
+    // scrapes (absent with zero traffic).
     for name in registry.models() {
-        if let Ok(Some(stages)) = registry.stage_histograms(&name) {
+        if let Ok(stages) = registry.stage_histograms(&name) {
             for (stage, h) in stages.stages() {
                 if h.count() == 0 {
                     continue;

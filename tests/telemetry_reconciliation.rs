@@ -8,7 +8,7 @@
 
 use einstein_barrier::bitnn::{BinLinear, Bnn, FixedLinear, Layer, OutputLinear, Shape, Tensor};
 use einstein_barrier::runtime::net::WireLimits;
-use einstein_barrier::{NetConfig, NetServer, PoolConfig, Server};
+use einstein_barrier::{NetConfig, NetServer, NetStats, PoolConfig, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
@@ -249,29 +249,32 @@ fn concurrent_clients_reconcile_exactly_with_metrics_scrape() {
         assert!(health.contains(key), "{key} missing from {health}");
     }
 
-    server.shutdown();
-}
+    // One store per fact: every `NetStats` field is read from its
+    // `eb_net_*` series, so the frontend's stats and a render of the
+    // registry agree field by field once traffic has stopped.
+    let stats = server.stats();
+    let text = registry.telemetry().expect("registry").render();
+    let series = |s: &str| {
+        series_value(&text, s).unwrap_or_else(|| panic!("series {s} missing from render")) as u64
+    };
+    let scraped = NetStats {
+        accepted: series("eb_net_connections_accepted_total"),
+        shed_connections: series("eb_net_connections_shed_total"),
+        requests: series("eb_net_requests_total"),
+        responses_2xx: series(r#"eb_net_responses_total{class="2xx"}"#),
+        responses_4xx: series(r#"eb_net_responses_total{class="4xx"}"#),
+        responses_5xx: series(r#"eb_net_responses_total{class="5xx"}"#),
+        shed_requests: series("eb_net_requests_shed_total"),
+        worker_panics: series("eb_net_worker_panics_total"),
+        worker_respawns: series("eb_net_worker_respawns_total"),
+    };
+    assert_eq!(stats, scraped);
+    assert_eq!(
+        stats.requests,
+        submitted as u64 + 2,
+        "predicts + scrape + healthz"
+    );
+    assert_eq!(stats.shed_requests, total.shed);
 
-/// `--no-telemetry` servers answer `/metrics` with 404 and still serve.
-#[test]
-fn metrics_route_is_404_without_telemetry() {
-    let net = mlp("m", 3);
-    let registry = Arc::new(
-        Server::builder()
-            .no_telemetry()
-            .model("m", &net)
-            .serve()
-            .unwrap(),
-    );
-    let server = NetServer::bind(Arc::clone(&registry), test_config()).unwrap();
-    let addr = server.local_addr();
-    let (status, _head, _body) = exchange(
-        addr,
-        "GET /metrics HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
-    );
-    assert_eq!(status, 404);
-    let x = Tensor::from_fn(&[16], |i| (i as f32 * 0.2).cos());
-    let (status, _head, _body) = exchange(addr, &predict_request("m", &x));
-    assert_eq!(status, 200);
     server.shutdown();
 }
