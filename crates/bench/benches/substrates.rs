@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use eb_bitnn::{
     ops, BinLinear, BitMatrix, BitVec, Bnn, FixedLinear, Layer, OutputLinear, Shape, Tensor,
 };
-use eb_core::{simulate_inference, Design, OpticalTacitMapped};
+use eb_core::{compile, Design, Machine, OpticalTacitMapped};
 use eb_xbar::{CrossbarArray, DeviceParams, VmmEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,8 +43,10 @@ fn bench_optical_mmm(c: &mut Criterion) {
     let inputs: Vec<BitVec> = (0..16)
         .map(|k| BitVec::from_bools(&(0..64).map(|i| (i + k) % 3 == 0).collect::<Vec<_>>()))
         .collect();
+    let complements: Vec<BitVec> = inputs.iter().map(BitVec::complement).collect();
+    let lanes: Vec<(&BitVec, &BitVec)> = inputs.iter().zip(&complements).collect();
     c.bench_function("optical_mmm_16lanes_64x64", |bench| {
-        bench.iter(|| black_box(mapped.execute_wdm(&inputs, &mut rng).expect("mmm")))
+        bench.iter(|| black_box(mapped.execute_wdm_ref(&lanes, &mut rng).expect("mmm")))
     });
 }
 
@@ -71,7 +73,10 @@ fn bench_simulated_inference(c: &mut Criterion) {
     ] {
         group.bench_function(tag, |bench| {
             bench.iter(|| {
-                black_box(simulate_inference(&design, &net, &x, &mut rng).expect("simulate"))
+                // Compile + run, as one cold inference would.
+                let compiled = compile(&design, &net, &mut rng).expect("compile");
+                let mut machine = Machine::new(compiled, &design, &mut rng);
+                black_box(machine.run(&x).expect("simulate"))
             })
         });
     }

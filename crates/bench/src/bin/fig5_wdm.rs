@@ -49,8 +49,11 @@ fn main() {
 
     // (b) TacitMap on oPCM with WDM: one time-step.
     let mut opcm = OpticalTacitMapped::program(&kernels, 4, 3, 16, &mut rng).expect("kernels fit");
+    // Each wavelength carries one XNOR lane: an input against its complement.
+    let complements: Vec<BitVec> = activations.iter().map(BitVec::complement).collect();
+    let lanes: Vec<(&BitVec, &BitVec)> = activations.iter().zip(&complements).collect();
     let counts = opcm
-        .execute_wdm(&activations, &mut rng)
+        .execute_wdm_ref(&lanes, &mut rng)
         .expect("one WDM step");
     for (k, (x, c)) in activations.iter().zip(&counts).enumerate() {
         println!("  oPCM T1, wavelength λ{k}: input {x} -> popcounts {c:?}");

@@ -50,4 +50,4 @@ pub use isa::{AluOp, Instruction, MmmLane, Program};
 pub use optical::{OpticalMapError, OpticalTacitMapped};
 pub use perf::{evaluate_layer, evaluate_layers, evaluate_model, LayerPerf, PerfReport};
 pub use report::{geomean, report_table, run_fig7, run_fig8, Fig7, Fig7Row, Fig8, Fig8Row};
-pub use sim::{simulate_inference, Machine, SimError, SimStats};
+pub use sim::{Machine, SimError, SimStats};

@@ -28,7 +28,10 @@ use std::sync::Arc;
 /// let inputs: Vec<BitVec> = (0..3)
 ///     .map(|k| BitVec::from_bools(&(0..6).map(|i| (i + k) % 2 == 0).collect::<Vec<_>>()))
 ///     .collect();
-/// let counts = mapped.execute_wdm(&inputs, &mut rng)?;
+/// // XNOR lanes drive each input against its complement.
+/// let complements: Vec<BitVec> = inputs.iter().map(BitVec::complement).collect();
+/// let lanes: Vec<(&BitVec, &BitVec)> = inputs.iter().zip(&complements).collect();
+/// let counts = mapped.execute_wdm_ref(&lanes, &mut rng)?;
 /// for (k, v) in inputs.iter().enumerate() {
 ///     assert_eq!(counts[k], ops::binary_linear_popcounts(v, &weights));
 /// }
@@ -291,45 +294,19 @@ impl OpticalTacitMapped {
         self.receiver = receiver;
     }
 
-    /// One WDM step over up to `K` input vectors: returns
-    /// `counts[k][j] = popcount(inputs[k] ⊙ Wⱼ)`.
+    /// One WDM step over up to `K` lanes, each with independent
+    /// `(pos, neg)` half drives (see
+    /// [`eb_mapping::TacitMapped::execute_raw`]): returns
+    /// `counts[k][j]`, the column-`j` count of lane `k`. An XNOR lane
+    /// drives `(v, v̄)` and reads `popcount(v ⊙ Wⱼ)`; bit-serial lanes
+    /// drive `(plane, 0)` / `(0, plane)`. This is the one WDM execution
+    /// implementation, borrowing its lanes so callers whose lanes share
+    /// common halves allocate nothing per lane.
     ///
     /// # Errors
     ///
-    /// Returns an error on fan-in mismatch or when more than `K` vectors
+    /// Returns an error on fan-in mismatch or when more than `K` lanes
     /// are offered.
-    pub fn execute_wdm(
-        &mut self,
-        inputs: &[BitVec],
-        rng: &mut impl Rng,
-    ) -> Result<Vec<Vec<u32>>, OpticalMapError> {
-        let complements: Vec<BitVec> = inputs.iter().map(BitVec::complement).collect();
-        let lanes: Vec<(&BitVec, &BitVec)> = inputs.iter().zip(&complements).collect();
-        self.execute_wdm_ref(&lanes, rng)
-    }
-
-    /// Low-level WDM step with independent `(pos, neg)` half drives per
-    /// lane (see [`eb_mapping::TacitMapped::execute_raw`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on fan-in mismatch or WDM over-capacity.
-    pub fn execute_wdm_raw(
-        &mut self,
-        lanes: &[(BitVec, BitVec)],
-        rng: &mut impl Rng,
-    ) -> Result<Vec<Vec<u32>>, OpticalMapError> {
-        let refs: Vec<(&BitVec, &BitVec)> = lanes.iter().map(|(p, n)| (p, n)).collect();
-        self.execute_wdm_ref(&refs, rng)
-    }
-
-    /// Borrowed-pair form of [`OpticalTacitMapped::execute_wdm_raw`] — the
-    /// one WDM execution implementation, allocation-light for callers (the
-    /// `eb-runtime` bit-serial lowering) whose lanes share common halves.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on fan-in mismatch or WDM over-capacity.
     pub fn execute_wdm_ref(
         &mut self,
         lanes: &[(&BitVec, &BitVec)],
@@ -399,6 +376,17 @@ mod tests {
         })
     }
 
+    /// One WDM step over XNOR lanes: each input against its complement.
+    fn execute_xnor(
+        mapped: &mut OpticalTacitMapped,
+        inputs: &[BitVec],
+        rng: &mut StdRng,
+    ) -> Result<Vec<Vec<u32>>, OpticalMapError> {
+        let complements: Vec<BitVec> = inputs.iter().map(BitVec::complement).collect();
+        let lanes: Vec<(&BitVec, &BitVec)> = inputs.iter().zip(&complements).collect();
+        mapped.execute_wdm_ref(&lanes, rng)
+    }
+
     #[test]
     fn chunked_wdm_matches_reference() {
         let mut r = rng();
@@ -411,7 +399,7 @@ mod tests {
                 BitVec::from_bools(&(0..50).map(|i| (i * (k + 3)) % 7 < 3).collect::<Vec<_>>())
             })
             .collect();
-        let counts = mapped.execute_wdm(&inputs, &mut r).unwrap();
+        let counts = execute_xnor(&mut mapped, &inputs, &mut r).unwrap();
         for (k, v) in inputs.iter().enumerate() {
             assert_eq!(counts[k], ops::binary_linear_popcounts(v, &w), "lane {k}");
         }
@@ -425,7 +413,7 @@ mod tests {
         let mut mapped = OpticalTacitMapped::program(&w, 16, 8, 2, &mut r).unwrap();
         let inputs: Vec<BitVec> = (0..3).map(|_| BitVec::ones(8)).collect();
         assert!(matches!(
-            mapped.execute_wdm(&inputs, &mut r),
+            execute_xnor(&mut mapped, &inputs, &mut r),
             Err(OpticalMapError::Photonics(
                 PhotonicsError::WdmOverCapacity { .. }
             ))
@@ -440,7 +428,7 @@ mod tests {
         let p = BitVec::from_bools(&(0..12).map(|i| i % 3 == 0).collect::<Vec<_>>());
         let zero = BitVec::zeros(12);
         let counts = mapped
-            .execute_wdm_raw(&[(p.clone(), zero.clone()), (zero, p.clone())], &mut r)
+            .execute_wdm_ref(&[(&p, &zero), (&zero, &p)], &mut r)
             .unwrap();
         for j in 0..3 {
             let signed: i32 = (0..12)
@@ -465,6 +453,6 @@ mod tests {
         let mut r = rng();
         let w = random_bits(2, 6, 2);
         let mut mapped = OpticalTacitMapped::program(&w, 16, 4, 2, &mut r).unwrap();
-        assert!(mapped.execute_wdm(&[BitVec::zeros(7)], &mut r).is_err());
+        assert!(execute_xnor(&mut mapped, &[BitVec::zeros(7)], &mut r).is_err());
     }
 }

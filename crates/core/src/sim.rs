@@ -331,7 +331,7 @@ impl<R: Rng> Machine<R> {
                             .execute_raw(&p, &n, &mut *rng)
                             .map_err(|e| SimError::Execution(e.to_string()))?,
                         MappedVcore::Optical(m) => m
-                            .execute_wdm_raw(&[(p, n)], &mut *rng)
+                            .execute_wdm_ref(&[(&p, &n)], &mut *rng)
                             .map_err(|e| SimError::Execution(e.to_string()))?
                             .remove(0),
                     };
@@ -344,14 +344,16 @@ impl<R: Rng> Machine<R> {
                         .iter()
                         .map(|l| Ok((bits_of(regs, l.pos)?, bits_of(regs, l.neg)?)))
                         .collect::<Result<_, SimError>>()?;
+                    let refs: Vec<(&BitVec, &BitVec)> =
+                        drives.iter().map(|(p, n)| (p, n)).collect();
                     let counts = match &mut vcores[*vcore] {
                         MappedVcore::Optical(m) => m
-                            .execute_wdm_raw(&drives, &mut *rng)
+                            .execute_wdm_ref(&refs, &mut *rng)
                             .map_err(|e| SimError::Execution(e.to_string()))?,
                         MappedVcore::Electronic(m) => {
                             // Electronic fallback: serialize the lanes.
                             let mut out = Vec::with_capacity(drives.len());
-                            for (p, n) in &drives {
+                            for (p, n) in refs {
                                 out.push(
                                     m.execute_raw(p, n, &mut *rng)
                                         .map_err(|e| SimError::Execution(e.to_string()))?,
@@ -522,27 +524,6 @@ fn charge_crossbar(
     stats.energy_j += energy * footprint as f64;
 }
 
-/// Compiles and runs one input on a design, returning
-/// `(logits, statistics)` — the top-level "simulate an inference" entry
-/// point.
-///
-/// # Errors
-///
-/// Propagates compile and simulation errors (boxed, since they come from
-/// different stages).
-pub fn simulate_inference(
-    design: &Design,
-    net: &eb_bitnn::Bnn,
-    input: &Tensor,
-    rng: &mut impl Rng,
-) -> Result<(Tensor, SimStats), Box<dyn Error>> {
-    let compiled = crate::compiler::compile(design, net, &mut *rng)?;
-    let mut machine = Machine::new(compiled, design, rng);
-    let logits = machine.run(input)?;
-    let stats = machine.stats().clone();
-    Ok((logits, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,6 +551,20 @@ mod tests {
         Tensor::from_fn(&[20], |i| ((i as f32 + seed as f32) * 0.37).sin())
     }
 
+    /// Compiles `net` for `design` and runs one input on a fresh
+    /// machine, drawing compile- and run-time noise from `rng`.
+    fn simulate(
+        design: &Design,
+        net: &Bnn,
+        x: &Tensor,
+        rng: &mut StdRng,
+    ) -> Result<(Tensor, SimStats), Box<dyn Error>> {
+        let compiled = crate::compiler::compile(design, net, &mut *rng)?;
+        let mut machine = Machine::new(compiled, design, rng);
+        let logits = machine.run(x)?;
+        Ok((logits, machine.stats().clone()))
+    }
+
     #[test]
     fn electronic_simulation_matches_reference() {
         let net = tiny_mlp(1);
@@ -578,7 +573,7 @@ mod tests {
         for s in 0..5u64 {
             let x = test_input(s);
             let want = net.forward(&x).unwrap();
-            let (got, _) = simulate_inference(&design, &net, &x, &mut rng).unwrap();
+            let (got, _) = simulate(&design, &net, &x, &mut rng).unwrap();
             assert_eq!(got, want, "input {s}");
         }
     }
@@ -591,7 +586,7 @@ mod tests {
         for s in 0..5u64 {
             let x = test_input(s);
             let want = net.forward(&x).unwrap();
-            let (got, _) = simulate_inference(&design, &net, &x, &mut rng).unwrap();
+            let (got, _) = simulate(&design, &net, &x, &mut rng).unwrap();
             assert_eq!(got, want, "input {s}");
         }
     }
@@ -601,8 +596,8 @@ mod tests {
         let net = tiny_mlp(7);
         let x = test_input(0);
         let mut rng = StdRng::seed_from_u64(8);
-        let (_, tm) = simulate_inference(&Design::tacitmap_epcm(), &net, &x, &mut rng).unwrap();
-        let (_, eb) = simulate_inference(&Design::einstein_barrier(), &net, &x, &mut rng).unwrap();
+        let (_, tm) = simulate(&Design::tacitmap_epcm(), &net, &x, &mut rng).unwrap();
+        let (_, eb) = simulate(&Design::einstein_barrier(), &net, &x, &mut rng).unwrap();
         assert!(tm.instructions > 0 && tm.crossbar_steps > 0);
         assert!(tm.latency_ns > 0.0 && tm.energy_j > 0.0);
         // The bit-serial (plane, 0)/(0, plane) pairs ride one MMM on EB.
@@ -637,7 +632,7 @@ mod tests {
         let x = Tensor::from_fn(&[1, 12, 12], |i| ((i as f32) * 0.21).sin());
         let want = net.forward(&x).unwrap();
         for design in [Design::tacitmap_epcm(), Design::einstein_barrier()] {
-            let (got, stats) = simulate_inference(&design, &net, &x, &mut rng).unwrap();
+            let (got, stats) = simulate(&design, &net, &x, &mut rng).unwrap();
             assert_eq!(got, want, "{}", design.kind);
             assert!(stats.crossbar_steps > 0);
         }
@@ -664,7 +659,7 @@ mod tests {
         let x = Tensor::from_fn(&[2, 6, 6], |i| ((i as f32) * 0.43).cos());
         let want = net.forward(&x).unwrap();
         for design in [Design::tacitmap_epcm(), Design::einstein_barrier()] {
-            let (got, _) = simulate_inference(&design, &net, &x, &mut rng).unwrap();
+            let (got, _) = simulate(&design, &net, &x, &mut rng).unwrap();
             assert_eq!(got, want, "{}", design.kind);
         }
     }
@@ -674,7 +669,7 @@ mod tests {
         let net = tiny_mlp(9);
         let design = Design::tacitmap_epcm();
         let mut rng = StdRng::seed_from_u64(1);
-        let err = simulate_inference(&design, &net, &Tensor::zeros(&[21]), &mut rng);
+        let err = simulate(&design, &net, &Tensor::zeros(&[21]), &mut rng);
         assert!(err.is_err());
     }
 }

@@ -321,8 +321,8 @@ impl TacitMapped {
     /// Builds the physical `[pos ; neg]` drive for one row chunk: the
     /// weight half occupies rows `0..len`, the complement half rows
     /// `len..2·len`, zero-padded to the crossbar height. This is the one
-    /// place the TacitMap drive layout lives — both the single-vector and
-    /// batched execution paths go through it.
+    /// place the TacitMap drive layout lives — both chunk walks go
+    /// through it.
     fn chunk_drive(&self, pos: &BitVec, neg: &BitVec, lo: usize, len: usize) -> BitVec {
         let mut drive = BitVec::zeros(self.cfg.rows);
         for i in 0..len {
@@ -369,92 +369,22 @@ impl TacitMapped {
         neg: &BitVec,
         rng: &mut impl Rng,
     ) -> Result<Vec<u32>, MappingError> {
-        if pos.len() != self.m || neg.len() != self.m {
-            return Err(MappingError::InputLength {
-                expected: self.m,
-                got: if pos.len() != self.m {
-                    pos.len()
-                } else {
-                    neg.len()
-                },
-            });
-        }
-        let mut acc = vec![0u32; self.n];
-        let mut energy = 0.0;
-        for (rc, row) in self.engines.iter().enumerate() {
-            let (lo, len) = self.chunk_bounds(rc);
-            let drive = self.chunk_drive(pos, neg, lo, len);
-            let active = drive.popcount() as usize;
-            for (cc, engine) in row.iter().enumerate() {
-                let jlo = cc * self.cfg.cols;
-                let jhi = (jlo + self.cfg.cols).min(self.n);
-                let counts = engine
-                    .vmm_counts_cols(&drive, 0, jhi - jlo, rng)
-                    .map_err(MappingError::Xbar)?;
-                energy +=
-                    self.cfg
-                        .energies
-                        .vmm_step_joules(active, active * (jhi - jlo), jhi - jlo);
-                for (j, c) in counts.into_iter().enumerate() {
-                    acc[jlo + j] += c;
-                }
-            }
-        }
-        self.executions += 1;
-        self.energy_j += energy;
-        Ok(acc)
+        Ok(self.execute_ref_pairs(&[(pos, neg)], rng)?.remove(0))
     }
 
-    /// Executes a batch of input vectors, one crossbar activation per
-    /// vector — a thin wrapper pairing each input with its complement and
-    /// delegating to [`TacitMapped::execute_raw_batch`], the one batched
-    /// execution path.
+    /// Batched activation over *borrowed* `(pos, neg)` pairs: one
+    /// crossbar activation per pair, amortizing the periphery setup and
+    /// device resolution across the whole batch
+    /// ([`VmmEngine::vmm_counts_cols_batch`]). This is the one execution
+    /// entry point — [`TacitMapped::execute`], [`TacitMapped::execute_raw`]
+    /// and the `eb-runtime` sessions all bottom out here. A batch of XNOR
+    /// inputs drives `(v, v̄)` per input; the bit-serial lowering drives
+    /// pairs sharing common halves, e.g. `(plane, 0)` / `(0, plane)`,
+    /// without cloning a `BitVec` per half.
     ///
-    /// In noiseless configurations this is bit-identical to calling
-    /// [`TacitMapped::execute`] per input (under noise the counts are
-    /// drawn from the same distribution, but the chunk-major draw order
-    /// differs). Each engine resolves its devices once per batch instead
-    /// of once per input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MappingError::InputLength`] on any fan-in mismatch.
-    pub fn execute_batch(
-        &mut self,
-        inputs: &[BitVec],
-        rng: &mut impl Rng,
-    ) -> Result<Vec<Vec<u32>>, MappingError> {
-        let complements: Vec<BitVec> = inputs.iter().map(BitVec::complement).collect();
-        let pairs: Vec<(&BitVec, &BitVec)> = inputs.iter().zip(&complements).collect();
-        self.execute_ref_pairs(&pairs, rng)
-    }
-
-    /// Batched form of [`TacitMapped::execute_raw`]: one crossbar
-    /// activation per `(pos, neg)` half-drive pair, amortizing the
-    /// periphery setup and device resolution across the whole batch
-    /// ([`VmmEngine::vmm_counts_cols_batch`]). This is the single batched
-    /// execution implementation — [`TacitMapped::execute_batch`] and the
-    /// runtime sessions both bottom out here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MappingError::InputLength`] when either half of any pair
-    /// differs from the fan-in.
-    pub fn execute_raw_batch(
-        &mut self,
-        pairs: &[(BitVec, BitVec)],
-        rng: &mut impl Rng,
-    ) -> Result<Vec<Vec<u32>>, MappingError> {
-        let refs: Vec<(&BitVec, &BitVec)> = pairs.iter().map(|(p, n)| (p, n)).collect();
-        self.execute_ref_pairs(&refs, rng)
-    }
-
-    /// Batched activation over *borrowed* `(pos, neg)` pairs — the
-    /// allocation-light entry point for callers (the `eb-runtime`
-    /// bit-serial lowering) that drive many pairs sharing common halves,
-    /// e.g. `(plane, 0)` / `(0, plane)`, without cloning a `BitVec` per
-    /// half. [`TacitMapped::execute_batch`] and
-    /// [`TacitMapped::execute_raw_batch`] bottom out here.
+    /// In noiseless configurations a batch is bit-identical to executing
+    /// each pair alone (under noise the counts are drawn from the same
+    /// distribution, but the chunk-major draw order differs).
     ///
     /// # Errors
     ///
@@ -698,28 +628,6 @@ impl SeededTacitMapped {
         self.inner.execute_raw(pos, neg, &mut self.rng)
     }
 
-    /// Batched execution (see [`TacitMapped::execute_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MappingError::InputLength`] on any fan-in mismatch.
-    pub fn execute_batch(&mut self, inputs: &[BitVec]) -> Result<Vec<Vec<u32>>, MappingError> {
-        self.inner.execute_batch(inputs, &mut self.rng)
-    }
-
-    /// Batched half-drive execution (see
-    /// [`TacitMapped::execute_raw_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MappingError::InputLength`] on any fan-in mismatch.
-    pub fn execute_raw_batch(
-        &mut self,
-        pairs: &[(BitVec, BitVec)],
-    ) -> Result<Vec<Vec<u32>>, MappingError> {
-        self.inner.execute_raw_batch(pairs, &mut self.rng)
-    }
-
     /// Batched activation over borrowed half-drive pairs (see
     /// [`TacitMapped::execute_ref_pairs`]).
     ///
@@ -912,7 +820,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_batch_matches_per_input_execution() {
+    fn xnor_batch_matches_per_input_execution() {
         let mut r = rng();
         // Chunked in both dimensions so the batch path crosses chunk
         // boundaries.
@@ -922,7 +830,9 @@ mod tests {
         let inputs: Vec<BitVec> = (0..6)
             .map(|k| BitVec::from_bools(&(0..75).map(|i| (i * 7 + k) % 5 < 3).collect::<Vec<_>>()))
             .collect();
-        let batch = mapped.execute_batch(&inputs, &mut r).unwrap();
+        let complements: Vec<BitVec> = inputs.iter().map(BitVec::complement).collect();
+        let lanes: Vec<(&BitVec, &BitVec)> = inputs.iter().zip(&complements).collect();
+        let batch = mapped.execute_ref_pairs(&lanes, &mut r).unwrap();
         for (k, input) in inputs.iter().enumerate() {
             assert_eq!(
                 batch[k],
@@ -931,14 +841,15 @@ mod tests {
             );
         }
         assert_eq!(mapped.steps_taken(), 6);
+        let short = BitVec::zeros(9);
         assert!(matches!(
-            mapped.execute_batch(&[BitVec::zeros(9)], &mut r),
+            mapped.execute_ref_pairs(&[(&short, &short.complement())], &mut r),
             Err(MappingError::InputLength { .. })
         ));
     }
 
     #[test]
-    fn execute_raw_batch_matches_sequential_raw() {
+    fn raw_pair_batch_matches_sequential_raw() {
         let mut r = rng();
         let w = random_bits(11, 45, 29);
         let cfg = XbarConfig::new(32, 8);
@@ -955,7 +866,8 @@ mod tests {
                 }
             })
             .collect();
-        let batch = mapped.execute_raw_batch(&pairs, &mut r).unwrap();
+        let refs: Vec<(&BitVec, &BitVec)> = pairs.iter().map(|(p, n)| (p, n)).collect();
+        let batch = mapped.execute_ref_pairs(&refs, &mut r).unwrap();
         for (k, (p, n)) in pairs.iter().enumerate() {
             assert_eq!(
                 batch[k],
@@ -964,7 +876,7 @@ mod tests {
             );
         }
         assert!(matches!(
-            mapped.execute_raw_batch(&[(BitVec::zeros(3), zero)], &mut r),
+            mapped.execute_ref_pairs(&[(&BitVec::zeros(3), &zero)], &mut r),
             Err(MappingError::InputLength { .. })
         ));
     }
@@ -979,6 +891,7 @@ mod tests {
             ..DeviceParams::ideal()
         });
         let input = BitVec::from_bools(&(0..48).map(|i| i % 3 != 0).collect::<Vec<_>>());
+        let complement = input.complement();
         let run = |seed: u64| {
             let mut mapped = TacitMapped::program_seeded(&w, &cfg, seed).unwrap();
             let mut outs = Vec::new();
@@ -987,9 +900,9 @@ mod tests {
             }
             outs.push(
                 mapped
-                    .execute_batch(&[input.clone(), input.complement()])
-                    .unwrap()[0]
-                    .clone(),
+                    .execute_ref_pairs(&[(&input, &complement), (&complement, &input)])
+                    .unwrap()
+                    .remove(0),
             );
             outs
         };
@@ -1132,8 +1045,9 @@ mod tests {
         assert!(one > programmed);
         // The batched path charges the same energy as per-input execution.
         let mut batched = TacitMapped::program(&w, &XbarConfig::new(32, 16), &mut r).unwrap();
+        let complement = input.complement();
         batched
-            .execute_batch(&[input.clone(), input.clone()], &mut r)
+            .execute_ref_pairs(&[(&input, &complement), (&input, &complement)], &mut r)
             .unwrap();
         let mut single = TacitMapped::program(&w, &XbarConfig::new(32, 16), &mut r).unwrap();
         single.execute(&input, &mut r).unwrap();

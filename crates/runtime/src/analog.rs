@@ -14,7 +14,9 @@
 
 use crate::artifacts::captured_meta;
 use crate::error::EbError;
-use crate::session::{Backend, NoiseProfile, Session, SessionMemory, SessionOpts, SessionStats};
+use crate::session::{
+    mint_replicas, Backend, NoiseProfile, Session, SessionMemory, SessionOpts, SessionStats,
+};
 use eb_artifact::{PhotonicMat, Prepared, PreparedBackend, PreparedState};
 use eb_bitnn::{conv_output_dims, BitMatrix, BitTensor, BitVec, Bnn, Layer, Shape, Tensor};
 use eb_core::OpticalTacitMapped;
@@ -59,7 +61,7 @@ impl Default for EpcmBackend {
 
 impl EpcmBackend {
     /// Programs every matrix layer of `net` onto fresh crossbars — the
-    /// shared body under [`Backend::prepare`] and
+    /// shared body under [`Backend::prepare_replicas`] and
     /// [`Backend::export_prepared`].
     fn program_session(&self, net: &Bnn, opts: &SessionOpts) -> Result<AnalogSession, EbError> {
         let cfg = match opts.noise.profile {
@@ -88,8 +90,7 @@ impl EpcmBackend {
     }
 
     /// Validates and rebuilds an ePCM session from a prepared-state
-    /// snapshot — the shared body under [`Backend::prepare_restored`]
-    /// and [`Backend::prepare_replicas_restored`].
+    /// snapshot — the restore branch of [`Backend::prepare_replicas`].
     fn restore_session(
         &self,
         net: &Bnn,
@@ -122,33 +123,28 @@ impl EpcmBackend {
     }
 }
 
-/// Boxes replica 0 (the ordinary prepared or restored session, RNG
-/// position untouched) plus `replicas − 1` shared-core replicas whose
-/// execution RNGs derive from `base_seed + i` — programming happened
-/// exactly once, in `base`.
-fn mint_replica_sessions(
-    base: AnalogSession,
-    base_seed: u64,
-    replicas: usize,
-) -> Vec<Box<dyn Session>> {
-    if replicas == 0 {
-        return Vec::new();
-    }
-    let mut sessions: Vec<Box<dyn Session>> = Vec::with_capacity(replicas);
-    for i in 1..replicas {
-        sessions.push(Box::new(base.replicate(base_seed.wrapping_add(i as u64))));
-    }
-    sessions.insert(0, Box::new(base));
-    sessions
-}
-
 impl Backend for EpcmBackend {
     fn name(&self) -> &'static str {
         "epcm"
     }
 
-    fn prepare(&self, net: &Bnn, opts: &SessionOpts) -> Result<Box<dyn Session>, EbError> {
-        Ok(Box::new(self.program_session(net, opts)?))
+    fn prepare_replicas(
+        &self,
+        net: &Bnn,
+        opts: &SessionOpts,
+        replicas: usize,
+        restore: Option<Prepared>,
+    ) -> Result<Vec<Box<dyn Session>>, EbError> {
+        let base = match restore {
+            Some(prepared) => self.restore_session(net, opts, prepared)?,
+            None => self.program_session(net, opts)?,
+        };
+        Ok(mint_replicas(
+            base,
+            opts.noise.seed,
+            replicas,
+            AnalogSession::replicate,
+        ))
     }
 
     fn export_prepared(&self, net: &Bnn, opts: &SessionOpts) -> Result<Option<Prepared>, EbError> {
@@ -167,39 +163,6 @@ impl Backend for EpcmBackend {
             meta: captured_meta(PreparedBackend::Epcm, &opts.noise),
             state: PreparedState::Epcm(mats),
         }))
-    }
-
-    fn prepare_restored(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        prepared: Prepared,
-    ) -> Result<Box<dyn Session>, EbError> {
-        Ok(Box::new(self.restore_session(net, opts, prepared)?))
-    }
-
-    fn prepare_replicas(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        replicas: usize,
-    ) -> Result<Vec<Box<dyn Session>>, EbError> {
-        let base = self.program_session(net, opts)?;
-        Ok(mint_replica_sessions(base, opts.noise.seed, replicas))
-    }
-
-    fn prepare_replicas_restored(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        prepared: Prepared,
-        replicas: usize,
-    ) -> Result<Vec<Box<dyn Session>>, EbError> {
-        // The restored programmed state feeds *all* replicas: replica 0
-        // resumes the snapshot's RNG positions; the rest derive fresh
-        // streams exactly as `prepare_replicas` would.
-        let base = self.restore_session(net, opts, prepared)?;
-        Ok(mint_replica_sessions(base, opts.noise.seed, replicas))
     }
 }
 
@@ -371,7 +334,7 @@ impl PhotonicBackend {
     }
 
     /// Programs every matrix layer of `net` onto fresh optical crossbars
-    /// — the shared body under [`Backend::prepare`] and
+    /// — the shared body under [`Backend::prepare_replicas`] and
     /// [`Backend::export_prepared`].
     fn program_session(&self, net: &Bnn, opts: &SessionOpts) -> Result<AnalogSession, EbError> {
         self.validate_opts(opts)?;
@@ -395,74 +358,9 @@ impl PhotonicBackend {
         })?;
         Ok(session.named("photonic"))
     }
-}
 
-impl Backend for PhotonicBackend {
-    fn name(&self) -> &'static str {
-        "photonic"
-    }
-
-    fn prepare(&self, net: &Bnn, opts: &SessionOpts) -> Result<Box<dyn Session>, EbError> {
-        Ok(Box::new(self.program_session(net, opts)?))
-    }
-
-    fn export_prepared(&self, net: &Bnn, opts: &SessionOpts) -> Result<Option<Prepared>, EbError> {
-        let session = self.program_session(net, opts)?;
-        let mats = session
-            .mats
-            .into_iter()
-            .map(|m| match m {
-                MappedMat::Photonic { mapped, rng, lanes } => Ok(PhotonicMat {
-                    mapped,
-                    rng_state: rng.state(),
-                    lanes,
-                }),
-                MappedMat::Epcm(_) => Err(EbError::Config(
-                    "internal error: electronic state inside a photonic session".into(),
-                )),
-            })
-            .collect::<Result<Vec<_>, EbError>>()?;
-        Ok(Some(Prepared {
-            meta: captured_meta(PreparedBackend::Photonic, &opts.noise),
-            state: PreparedState::Photonic(mats),
-        }))
-    }
-
-    fn prepare_restored(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        prepared: Prepared,
-    ) -> Result<Box<dyn Session>, EbError> {
-        Ok(Box::new(self.restore_session(net, opts, prepared)?))
-    }
-
-    fn prepare_replicas(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        replicas: usize,
-    ) -> Result<Vec<Box<dyn Session>>, EbError> {
-        let base = self.program_session(net, opts)?;
-        Ok(mint_replica_sessions(base, opts.noise.seed, replicas))
-    }
-
-    fn prepare_replicas_restored(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        prepared: Prepared,
-        replicas: usize,
-    ) -> Result<Vec<Box<dyn Session>>, EbError> {
-        let base = self.restore_session(net, opts, prepared)?;
-        Ok(mint_replica_sessions(base, opts.noise.seed, replicas))
-    }
-}
-
-impl PhotonicBackend {
     /// Validates and rebuilds a photonic session from a prepared-state
-    /// snapshot — the shared body under [`Backend::prepare_restored`]
-    /// and [`Backend::prepare_replicas_restored`].
+    /// snapshot — the restore branch of [`Backend::prepare_replicas`].
     fn restore_session(
         &self,
         net: &Bnn,
@@ -501,6 +399,53 @@ impl PhotonicBackend {
         })?;
         reject_leftover_state(mats.len())?;
         Ok(session.named("photonic"))
+    }
+}
+
+impl Backend for PhotonicBackend {
+    fn name(&self) -> &'static str {
+        "photonic"
+    }
+
+    fn prepare_replicas(
+        &self,
+        net: &Bnn,
+        opts: &SessionOpts,
+        replicas: usize,
+        restore: Option<Prepared>,
+    ) -> Result<Vec<Box<dyn Session>>, EbError> {
+        let base = match restore {
+            Some(prepared) => self.restore_session(net, opts, prepared)?,
+            None => self.program_session(net, opts)?,
+        };
+        Ok(mint_replicas(
+            base,
+            opts.noise.seed,
+            replicas,
+            AnalogSession::replicate,
+        ))
+    }
+
+    fn export_prepared(&self, net: &Bnn, opts: &SessionOpts) -> Result<Option<Prepared>, EbError> {
+        let session = self.program_session(net, opts)?;
+        let mats = session
+            .mats
+            .into_iter()
+            .map(|m| match m {
+                MappedMat::Photonic { mapped, rng, lanes } => Ok(PhotonicMat {
+                    mapped,
+                    rng_state: rng.state(),
+                    lanes,
+                }),
+                MappedMat::Epcm(_) => Err(EbError::Config(
+                    "internal error: electronic state inside a photonic session".into(),
+                )),
+            })
+            .collect::<Result<Vec<_>, EbError>>()?;
+        Ok(Some(Prepared {
+            meta: captured_meta(PreparedBackend::Photonic, &opts.noise),
+            state: PreparedState::Photonic(mats),
+        }))
     }
 }
 

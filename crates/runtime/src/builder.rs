@@ -3,7 +3,7 @@
 use crate::analog::{EpcmBackend, PhotonicBackend};
 use crate::error::EbError;
 use crate::serve::{PoolConfig, ServePool};
-use crate::session::{Backend, NoiseConfig, NoiseProfile, Session, SessionOpts};
+use crate::session::{sole_session, Backend, NoiseConfig, NoiseProfile, Session, SessionOpts};
 use crate::simulator::SimulatorBackend;
 use crate::software::SoftwareBackend;
 use eb_artifact::{Artifact, ArtifactInfo, Prepared};
@@ -137,17 +137,6 @@ impl Runtime {
         self.backend.prepare(net, &self.opts)
     }
 
-    /// Like [`Runtime::prepare`] but with explicit session options,
-    /// overriding the runtime's own — how [`ServePool`] derives one seed
-    /// per replica from a single configured base seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EbError`] when the backend cannot host the network.
-    pub fn prepare_with(&self, net: &Bnn, opts: &SessionOpts) -> Result<Box<dyn Session>, EbError> {
-        self.backend.prepare(net, opts)
-    }
-
     /// Builds a sharded serving pool of `net` replicas over this
     /// runtime's backend and options (see [`ServePool::new`]).
     ///
@@ -196,10 +185,8 @@ impl Runtime {
     /// Returns [`EbError::Config`] for capture-condition conflicts or
     /// structurally mismatched state, and any prepare-time [`EbError`].
     pub fn prepare_from_artifact(&self, artifact: Artifact) -> Result<Box<dyn Session>, EbError> {
-        match artifact.prepared {
-            Some(prepared) => self.prepare_restored_with(&artifact.net, &self.opts, prepared),
-            None => self.prepare(&artifact.net),
-        }
+        let sessions = self.prepare_replicas_with(&artifact.net, artifact.prepared, 1)?;
+        sole_session(self.backend.name(), sessions)
     }
 
     /// Reads a `.ebm` artifact and prepares a serving session from it
@@ -214,41 +201,24 @@ impl Runtime {
         self.prepare_from_artifact(eb_artifact::read_model(path)?)
     }
 
-    /// Validates `prepared`'s capture conditions against `opts` and
-    /// restores a session from it — the shared deploy-from-file seam
-    /// under [`Runtime::prepare_from_artifact`] and the prepared-aware
-    /// [`ServePool`].
-    pub(crate) fn prepare_restored_with(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        prepared: Prepared,
-    ) -> Result<Box<dyn Session>, EbError> {
-        crate::artifacts::validate_restore(&prepared.meta, self.backend.name(), opts)?;
-        self.backend.prepare_restored(net, opts, prepared)
-    }
-
     /// Prepares `replicas` shared-core sessions in one pass — programming
     /// or restoring the substrate **once** and minting cheap replicas
     /// from it (see [`Backend::prepare_replicas`]). With a prepared-state
-    /// snapshot, its capture conditions are validated against `opts` and
-    /// the restored state feeds *all* replicas. This is [`ServePool`]'s
-    /// spin-up seam.
+    /// snapshot, its capture conditions are first validated against this
+    /// runtime's options, and the restored state then feeds *all*
+    /// replicas. This is the one deploy seam under [`ServePool`] and
+    /// [`Runtime::prepare_from_artifact`].
     pub(crate) fn prepare_replicas_with(
         &self,
         net: &Bnn,
-        opts: &SessionOpts,
         prepared: Option<Prepared>,
         replicas: usize,
     ) -> Result<Vec<Box<dyn Session>>, EbError> {
-        match prepared {
-            Some(prepared) => {
-                crate::artifacts::validate_restore(&prepared.meta, self.backend.name(), opts)?;
-                self.backend
-                    .prepare_replicas_restored(net, opts, prepared, replicas)
-            }
-            None => self.backend.prepare_replicas(net, opts, replicas),
+        if let Some(prepared) = &prepared {
+            crate::artifacts::validate_restore(&prepared.meta, self.backend.name(), &self.opts)?;
         }
+        self.backend
+            .prepare_replicas(net, &self.opts, replicas, prepared)
     }
 
     /// Name of the configured backend.

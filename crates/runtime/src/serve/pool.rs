@@ -251,8 +251,7 @@ impl ServePool {
         // restores) its substrate once and mints shared-core replicas,
         // so this cost stays roughly flat in `config.replicas`.
         let spinup = Instant::now();
-        let sessions =
-            runtime.prepare_replicas_with(net, runtime.opts(), prepared, config.replicas)?;
+        let sessions = runtime.prepare_replicas_with(net, prepared, config.replicas)?;
         let prepare_ns = spinup.elapsed().as_nanos() as u64;
         if sessions.len() != config.replicas {
             return Err(EbError::Config(format!(
@@ -695,11 +694,13 @@ mod tests {
             fn name(&self) -> &'static str {
                 "panic"
             }
-            fn prepare(
+            fn prepare_replicas(
                 &self,
                 _net: &Bnn,
                 _opts: &SessionOpts,
-            ) -> Result<Box<dyn Session>, EbError> {
+                replicas: usize,
+                _restore: Option<Prepared>,
+            ) -> Result<Vec<Box<dyn Session>>, EbError> {
                 struct PanicSession;
                 impl Session for PanicSession {
                     fn backend_name(&self) -> &'static str {
@@ -712,7 +713,9 @@ mod tests {
                         SessionStats::default()
                     }
                 }
-                Ok(Box::new(PanicSession))
+                Ok((0..replicas)
+                    .map(|_| Box::new(PanicSession) as Box<dyn Session>)
+                    .collect())
             }
         }
 

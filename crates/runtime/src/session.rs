@@ -130,14 +130,44 @@ pub trait Backend: Send + Sync {
     /// Human-readable backend name (stable across calls).
     fn name(&self) -> &'static str;
 
-    /// Compiles/maps `net` for this substrate and returns a ready-to-serve
-    /// session.
+    /// Prepares `replicas` sessions sharing one programmed core — the one
+    /// prepare entry point every backend implements. `restore = None`
+    /// compiles/maps `net` from scratch; `Some(prepared)` rebuilds the
+    /// core from a snapshot whose `meta` the caller has already validated
+    /// against `opts`, so implementations only check that the *state*
+    /// fits `net` and their configuration.
+    ///
+    /// Programming (or restoring) happens **once** and feeds every
+    /// replica. Replica 0 is the plain session at `opts.noise.seed` (a
+    /// restored one resumes the snapshot's RNG position); replicas
+    /// `i ≥ 1` share its programmed state and draw their *execution*
+    /// noise from fresh RNGs at `seed.wrapping_add(i)`.
     ///
     /// # Errors
     ///
-    /// Returns [`EbError`] when the network cannot be hosted (mapping,
-    /// compile, or configuration failures).
-    fn prepare(&self, net: &Bnn, opts: &SessionOpts) -> Result<Box<dyn Session>, EbError>;
+    /// Returns [`EbError`] when the network cannot be hosted or the
+    /// snapshot does not fit it; no partial pool is returned. A backend
+    /// with no restore path returns [`EbError::Config`] for `Some(_)`
+    /// rather than silently preparing fresh.
+    fn prepare_replicas(
+        &self,
+        net: &Bnn,
+        opts: &SessionOpts,
+        replicas: usize,
+        restore: Option<Prepared>,
+    ) -> Result<Vec<Box<dyn Session>>, EbError>;
+
+    /// Compiles/maps `net` for this substrate and returns one
+    /// ready-to-serve session: replica 0 of a fresh
+    /// [`Backend::prepare_replicas`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EbError`] on the same failures as
+    /// [`Backend::prepare_replicas`].
+    fn prepare(&self, net: &Bnn, opts: &SessionOpts) -> Result<Box<dyn Session>, EbError> {
+        sole_session(self.name(), self.prepare_replicas(net, opts, 1, None)?)
+    }
 
     /// Prepares `net` exactly as [`Backend::prepare`] would and snapshots
     /// the resulting substrate state — programmed crossbar conductances,
@@ -157,106 +187,37 @@ pub trait Backend: Send + Sync {
         let _ = (net, opts);
         Ok(None)
     }
+}
 
-    /// Builds a ready-to-serve session from a prepared-state snapshot
-    /// instead of programming/compiling from scratch. The caller
-    /// (the runtime's deploy-from-file path) has already validated
-    /// `prepared.meta` against `opts` — implementations only need to
-    /// check that the *state* structurally matches `net` and this
-    /// backend's configuration, rejecting mismatches with a typed error
-    /// rather than serving silently divergent state.
-    ///
-    /// # Errors
-    ///
-    /// The default implementation always errors: a backend that does not
-    /// opt into restore cannot honor a prepared section, and silently
-    /// falling back to a fresh `prepare` would violate the
-    /// no-silent-fallback rule.
-    fn prepare_restored(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        prepared: Prepared,
-    ) -> Result<Box<dyn Session>, EbError> {
-        let _ = (net, opts, prepared);
-        Err(EbError::Config(format!(
-            "the {} backend has no prepared-state restore path; re-export the artifact without \
-             a prepared section or load it on the backend that captured it",
-            self.name()
-        )))
-    }
+/// Boxes `base` as replica 0 plus `replicas − 1` shared-core replicas
+/// `replicate(&base, base_seed + i)` — the one place the per-replica seed
+/// rule of [`Backend::prepare_replicas`] lives.
+pub(crate) fn mint_replicas<S: Session + 'static>(
+    base: S,
+    base_seed: u64,
+    replicas: usize,
+    replicate: impl Fn(&S, u64) -> S,
+) -> Vec<Box<dyn Session>> {
+    let minted: Vec<S> = (1..replicas)
+        .map(|i| replicate(&base, base_seed.wrapping_add(i as u64)))
+        .collect();
+    std::iter::once(base)
+        .chain(minted)
+        .take(replicas)
+        .map(|s| Box::new(s) as Box<dyn Session>)
+        .collect()
+}
 
-    /// Prepares a pool of `replicas` sessions that share one programmed
-    /// core. Replica 0 is the ordinary [`Backend::prepare`] session at
-    /// `opts.noise.seed`; replicas `i ≥ 1` share its programmed state
-    /// (conductances, compiled programs) and draw their *execution*
-    /// noise from fresh RNGs derived from `seed.wrapping_add(i)` — so
-    /// programming happens **once** regardless of replica count, each
-    /// replica still owns an independent, replayable noise stream, and
-    /// replica 0 replays a plain single session bit-for-bit.
-    ///
-    /// The default implementation keeps the legacy contract for custom
-    /// backends — `replicas` fully independent prepares at seeds
-    /// `seed.wrapping_add(i)` — which satisfies the same seed rule at
-    /// the cost of repeating the programming work.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EbError`] on the same failures as [`Backend::prepare`];
-    /// no partial pool is returned.
-    fn prepare_replicas(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        replicas: usize,
-    ) -> Result<Vec<Box<dyn Session>>, EbError> {
-        (0..replicas)
-            .map(|i| {
-                let mut opts = *opts;
-                opts.noise.seed = opts.noise.seed.wrapping_add(i as u64);
-                self.prepare(net, &opts)
-            })
-            .collect()
-    }
-
-    /// Like [`Backend::prepare_replicas`], but restores the shared
-    /// programmed core from a prepared-state snapshot instead of
-    /// programming from scratch — and the restored state feeds **all**
-    /// replicas, not just replica 0. Replica 0 resumes the snapshot's
-    /// RNG position exactly (bit-identical to restoring a single
-    /// session); replicas `i ≥ 1` share the restored core with fresh
-    /// execution RNGs from `seed.wrapping_add(i)`, exactly as their
-    /// fresh-prepare counterparts would — so file and in-memory deploys
-    /// serve identical noisy streams at any replica count.
-    ///
-    /// The default implementation restores replica 0 and freshly
-    /// prepares the rest, for backends that override neither this nor
-    /// [`Backend::prepare_restored`] (in which case `replicas > 1`
-    /// errors like `prepare_restored` does).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EbError`] on the same failures as
-    /// [`Backend::prepare_restored`] / [`Backend::prepare`].
-    fn prepare_replicas_restored(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        prepared: Prepared,
-        replicas: usize,
-    ) -> Result<Vec<Box<dyn Session>>, EbError> {
-        let mut sessions = Vec::with_capacity(replicas);
-        if replicas == 0 {
-            return Ok(sessions);
-        }
-        sessions.push(self.prepare_restored(net, opts, prepared)?);
-        for i in 1..replicas {
-            let mut opts = *opts;
-            opts.noise.seed = opts.noise.seed.wrapping_add(i as u64);
-            sessions.push(self.prepare(net, &opts)?);
-        }
-        Ok(sessions)
-    }
+/// The session of a one-replica prepare.
+pub(crate) fn sole_session(
+    backend: &str,
+    mut sessions: Vec<Box<dyn Session>>,
+) -> Result<Box<dyn Session>, EbError> {
+    sessions.pop().ok_or_else(|| {
+        EbError::Config(format!(
+            "backend {backend} prepared no session for a one-replica request"
+        ))
+    })
 }
 
 /// A prepared, stateful serving handle: weights are already programmed /

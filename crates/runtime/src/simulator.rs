@@ -4,7 +4,7 @@
 
 use crate::artifacts::captured_meta;
 use crate::error::EbError;
-use crate::session::{Backend, Session, SessionMemory, SessionOpts, SessionStats};
+use crate::session::{mint_replicas, Backend, Session, SessionMemory, SessionOpts, SessionStats};
 use eb_artifact::{DesignFingerprint, Prepared, PreparedBackend, PreparedState};
 use eb_bitnn::{Bnn, Tensor};
 use eb_core::{compile, CompiledNetwork, Design, Machine};
@@ -55,139 +55,29 @@ impl SimulatorBackend {
         crate::analog::reject_active_fault(&opts.noise, "simulator")
     }
 
-    /// Mints replicas `1..replicas` from a compiled network: each shares
-    /// the replica-0 vcores' programmed crossbar state (`Arc`-backed via
-    /// [`CompiledNetwork::replicate`]) and owns a fresh whole-machine RNG
-    /// at `base_seed + i` — the same per-replica seed rule the legacy
-    /// prepare-per-replica loop satisfied, without recompiling.
-    fn mint_replicas(
-        &self,
-        compiled: &CompiledNetwork,
-        base_seed: u64,
-        replicas: usize,
-    ) -> Vec<Box<dyn Session>> {
-        (1..replicas)
-            .map(|i| {
-                Box::new(SimulatorSession {
-                    machine: Machine::new(
-                        compiled.replicate(),
-                        &self.design,
-                        StdRng::seed_from_u64(base_seed.wrapping_add(i as u64)),
-                    ),
-                    inferences: 0,
-                }) as Box<dyn Session>
-            })
-            .collect()
-    }
-}
-
-impl Backend for SimulatorBackend {
-    fn name(&self) -> &'static str {
-        "simulator"
-    }
-
-    fn prepare(&self, net: &Bnn, opts: &SessionOpts) -> Result<Box<dyn Session>, EbError> {
-        self.validate_opts(opts)?;
-        let mut rng = StdRng::seed_from_u64(opts.noise.seed);
-        let compiled = compile(&self.design, net, &mut rng)?;
-        Ok(Box::new(SimulatorSession {
-            machine: Machine::new(compiled, &self.design, rng),
-            inferences: 0,
-        }))
-    }
-
-    fn prepare_replicas(
+    /// Compiles `net` from an RNG seeded at the session seed — the shared
+    /// body under [`Backend::prepare_replicas`] and
+    /// [`Backend::export_prepared`]. The RNG comes back positioned after
+    /// compilation's mapping draws.
+    fn compile_fresh(
         &self,
         net: &Bnn,
         opts: &SessionOpts,
-        replicas: usize,
-    ) -> Result<Vec<Box<dyn Session>>, EbError> {
-        self.validate_opts(opts)?;
-        if replicas == 0 {
-            return Ok(Vec::new());
-        }
-        // Compile exactly once; replica 0 is the ordinary prepared
-        // session (its RNG advanced past compilation), the rest share
-        // its programmed state via `CompiledNetwork::replicate`.
-        let mut rng = StdRng::seed_from_u64(opts.noise.seed);
-        let compiled = compile(&self.design, net, &mut rng)?;
-        let mut sessions = self.mint_replicas(&compiled, opts.noise.seed, replicas);
-        sessions.insert(
-            0,
-            Box::new(SimulatorSession {
-                machine: Machine::new(compiled, &self.design, rng),
-                inferences: 0,
-            }),
-        );
-        Ok(sessions)
-    }
-
-    fn export_prepared(&self, net: &Bnn, opts: &SessionOpts) -> Result<Option<Prepared>, EbError> {
+    ) -> Result<(CompiledNetwork, StdRng), EbError> {
         self.validate_opts(opts)?;
         let mut rng = StdRng::seed_from_u64(opts.noise.seed);
-        let compiled = compile(&self.design, net, &mut rng)?;
-        Ok(Some(Prepared {
-            meta: captured_meta(PreparedBackend::Simulator, &opts.noise),
-            state: PreparedState::Simulator {
-                fingerprint: Box::new(DesignFingerprint::of(&self.design)),
-                compiled,
-                // Captured *after* compilation consumed its mapping
-                // draws, so a restored machine's RNG sits exactly where
-                // a fresh prepare's would.
-                rng_state: rng.state(),
-            },
-        }))
+        Ok((compile(&self.design, net, &mut rng)?, rng))
     }
 
-    fn prepare_restored(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        prepared: Prepared,
-    ) -> Result<Box<dyn Session>, EbError> {
-        let (compiled, rng_state) = self.restore_compiled(net, opts, prepared)?;
-        Ok(Box::new(SimulatorSession {
-            machine: Machine::new(compiled, &self.design, StdRng::from_state(rng_state)),
-            inferences: 0,
-        }))
-    }
-
-    fn prepare_replicas_restored(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        prepared: Prepared,
-        replicas: usize,
-    ) -> Result<Vec<Box<dyn Session>>, EbError> {
-        if replicas == 0 {
-            return Ok(Vec::new());
-        }
-        // The restored compiled network feeds *all* replicas: replica 0
-        // resumes the snapshot's RNG position exactly; the rest share
-        // its state with fresh RNGs at `base_seed + i`, identical to
-        // what `prepare_replicas` mints from a fresh compile.
-        let (compiled, rng_state) = self.restore_compiled(net, opts, prepared)?;
-        let mut sessions = self.mint_replicas(&compiled, opts.noise.seed, replicas);
-        sessions.insert(
-            0,
-            Box::new(SimulatorSession {
-                machine: Machine::new(compiled, &self.design, StdRng::from_state(rng_state)),
-                inferences: 0,
-            }),
-        );
-        Ok(sessions)
-    }
-}
-
-impl SimulatorBackend {
     /// Validates and unpacks a simulator prepared-state snapshot into
-    /// its compiled network and post-compile RNG position.
+    /// its compiled network and the RNG resumed at its post-compile
+    /// position.
     fn restore_compiled(
         &self,
         net: &Bnn,
         opts: &SessionOpts,
         prepared: Prepared,
-    ) -> Result<(CompiledNetwork, [u64; 4]), EbError> {
+    ) -> Result<(CompiledNetwork, StdRng), EbError> {
         // Meta↔opts agreement is validated by the caller; the substrate
         // capability checks still apply to crafted artifacts.
         self.validate_opts(opts)?;
@@ -219,7 +109,60 @@ impl SimulatorBackend {
                 net.input_shape()
             )));
         }
-        Ok((compiled, rng_state))
+        Ok((compiled, StdRng::from_state(rng_state)))
+    }
+}
+
+impl Backend for SimulatorBackend {
+    fn name(&self) -> &'static str {
+        "simulator"
+    }
+
+    fn prepare_replicas(
+        &self,
+        net: &Bnn,
+        opts: &SessionOpts,
+        replicas: usize,
+        restore: Option<Prepared>,
+    ) -> Result<Vec<Box<dyn Session>>, EbError> {
+        // Compile (or restore) exactly once. Replica 0 owns the RNG as it
+        // stands after compilation — a restored one resumes the
+        // snapshot's position — and replicas `i ≥ 1` share its programmed
+        // vcores via `CompiledNetwork::replicate`, each with a fresh
+        // whole-machine RNG at `seed + i`.
+        let (compiled, rng) = match restore {
+            Some(prepared) => self.restore_compiled(net, opts, prepared)?,
+            None => self.compile_fresh(net, opts)?,
+        };
+        let base = SimulatorSession {
+            machine: Machine::new(compiled, &self.design, rng),
+            inferences: 0,
+        };
+        Ok(mint_replicas(base, opts.noise.seed, replicas, |s, seed| {
+            SimulatorSession {
+                machine: Machine::new(
+                    s.machine.network().replicate(),
+                    &self.design,
+                    StdRng::seed_from_u64(seed),
+                ),
+                inferences: 0,
+            }
+        }))
+    }
+
+    fn export_prepared(&self, net: &Bnn, opts: &SessionOpts) -> Result<Option<Prepared>, EbError> {
+        let (compiled, rng) = self.compile_fresh(net, opts)?;
+        Ok(Some(Prepared {
+            meta: captured_meta(PreparedBackend::Simulator, &opts.noise),
+            state: PreparedState::Simulator {
+                fingerprint: Box::new(DesignFingerprint::of(&self.design)),
+                compiled,
+                // Captured *after* compilation consumed its mapping
+                // draws, so a restored machine's RNG sits exactly where
+                // a fresh prepare's would.
+                rng_state: rng.state(),
+            },
+        }))
     }
 }
 

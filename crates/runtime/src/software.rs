@@ -3,6 +3,7 @@
 
 use crate::error::EbError;
 use crate::session::{Backend, Session, SessionMemory, SessionOpts, SessionStats};
+use eb_artifact::Prepared;
 use eb_bitnn::{Bnn, ForwardScratch, Tensor};
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,17 +23,21 @@ impl Backend for SoftwareBackend {
         "software"
     }
 
-    fn prepare(&self, net: &Bnn, opts: &SessionOpts) -> Result<Box<dyn Session>, EbError> {
-        validate_opts(opts)?;
-        Ok(Box::new(SoftwareSession::new(Arc::new(net.clone()))))
-    }
-
     fn prepare_replicas(
         &self,
         net: &Bnn,
         opts: &SessionOpts,
         replicas: usize,
+        restore: Option<Prepared>,
     ) -> Result<Vec<Box<dyn Session>>, EbError> {
+        if restore.is_some() {
+            // Preparing fresh would silently ignore the snapshot.
+            return Err(EbError::Config(
+                "the software backend has no prepared-state restore path; re-export the \
+                 artifact without a prepared section or load it on the backend that captured it"
+                    .into(),
+            ));
+        }
         // The software substrate is stateless beyond scratch buffers, so
         // every replica reads one `Arc`'d copy of the weights. (This
         // path draws no noise, so the per-replica seed rule is vacuous.)
@@ -132,10 +137,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn software_session_matches_direct_forward() {
+    fn net() -> Bnn {
         let mut rng = StdRng::seed_from_u64(3);
-        let net = Bnn::new(
+        Bnn::new(
             "t",
             Shape::Flat(10),
             vec![
@@ -144,7 +148,12 @@ mod tests {
                 Layer::Output(OutputLinear::random("out", 8, 4, &mut rng)),
             ],
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn software_session_matches_direct_forward() {
+        let net = net();
         let mut session = SoftwareBackend
             .prepare(&net, &SessionOpts::default())
             .unwrap();
@@ -160,5 +169,20 @@ mod tests {
         }
         assert_eq!(session.stats().inferences, 10);
         assert_eq!(session.stats().crossbar_steps, 0);
+    }
+
+    #[test]
+    fn restoring_a_snapshot_is_a_typed_config_error() {
+        let net = net();
+        let opts = SessionOpts::default();
+        let prepared = crate::EpcmBackend::default()
+            .export_prepared(&net, &opts)
+            .unwrap()
+            .expect("the epcm backend exports prepared state");
+        let err = SoftwareBackend
+            .prepare_replicas(&net, &opts, 1, Some(prepared))
+            .err()
+            .expect("software must reject prepared state");
+        assert!(matches!(err, EbError::Config(_)), "{err:?}");
     }
 }

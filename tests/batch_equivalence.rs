@@ -105,7 +105,9 @@ proptest! {
                 )
             })
             .collect();
-        let got = mapped.execute_batch(&inputs, &mut rng).expect("batch");
+        let complements: Vec<BitVec> = inputs.iter().map(BitVec::complement).collect();
+        let pairs: Vec<(&BitVec, &BitVec)> = inputs.iter().zip(&complements).collect();
+        let got = mapped.execute_ref_pairs(&pairs, &mut rng).expect("batch");
         for (k, input) in inputs.iter().enumerate() {
             prop_assert_eq!(&got[k], &ops::binary_linear_popcounts(input, &weights));
         }

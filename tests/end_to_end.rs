@@ -4,7 +4,7 @@
 //! TacitMap-ePCM accelerator.
 
 use eb_bitnn::{BenchModel, Dataset, DatasetKind, MlpTrainer, Tensor, TrainConfig};
-use eb_core::{compile, simulate_inference, Design, Machine};
+use eb_core::{compile, Design, Machine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,8 +29,11 @@ fn trained_network_runs_bit_exact_on_both_designs() {
     for design in [Design::tacitmap_epcm(), Design::einstein_barrier()] {
         for (x, _) in &data[..5] {
             let want = net.forward(x).unwrap();
-            let (got, stats) = simulate_inference(&design, &net, x, &mut rng).unwrap();
+            let compiled = compile(&design, &net, &mut rng).unwrap();
+            let mut machine = Machine::new(compiled, &design, &mut rng);
+            let got = machine.run(x).unwrap();
             assert_eq!(got, want, "{}", design.kind);
+            let stats = machine.stats();
             assert!(stats.latency_ns > 0.0 && stats.energy_j > 0.0);
         }
     }
@@ -65,8 +68,12 @@ fn benchmark_mlp_s_simulates_bit_exact() {
     let mut rng = StdRng::seed_from_u64(6);
     let x = Tensor::from_fn(&[784], |i| ((i as f32) * 0.0137).sin());
     let want = net.forward(&x).unwrap();
-    let (got, stats) = simulate_inference(&Design::tacitmap_epcm(), &net, &x, &mut rng).unwrap();
+    let design = Design::tacitmap_epcm();
+    let compiled = compile(&design, &net, &mut rng).unwrap();
+    let mut machine = Machine::new(compiled, &design, &mut rng);
+    let got = machine.run(&x).unwrap();
     assert_eq!(got, want);
+    let stats = machine.stats();
     // 8 bit-planes × 2 half-drives for the first layer + 1 binary + the
     // rest: at least 17 crossbar steps.
     assert!(stats.crossbar_steps >= 17, "steps {}", stats.crossbar_steps);

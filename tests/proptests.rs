@@ -4,7 +4,7 @@
 use eb_bitnn::{
     ops, BinLinear, BitMatrix, BitVec, Bnn, FixedLinear, Layer, OutputLinear, Shape, Tensor,
 };
-use eb_core::{simulate_inference, Design};
+use eb_core::{compile, Design, Machine};
 use eb_mapping::{plan_custbinary, plan_tacitmap, plan_wdm_tacitmap, TacitMapped, Workload};
 use eb_xbar::XbarConfig;
 use proptest::prelude::*;
@@ -101,7 +101,9 @@ proptest! {
         });
         let want = net.forward(&x).expect("reference");
         for design in [Design::tacitmap_epcm(), Design::einstein_barrier()] {
-            let (got, _) = simulate_inference(&design, &net, &x, &mut rng)
+            let compiled = compile(&design, &net, &mut rng).expect("compile");
+            let got = Machine::new(compiled, &design, &mut rng)
+                .run(&x)
                 .expect("simulate");
             prop_assert_eq!(&got, &want);
         }

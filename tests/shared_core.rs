@@ -29,7 +29,7 @@ use einstein_barrier::mapping::TacitMapped;
 use einstein_barrier::xbar::{DeviceParams, XbarConfig};
 use einstein_barrier::{
     Backend, BackendKind, EpcmBackend, NoiseConfig, NoiseProfile, PhotonicBackend, Runtime,
-    Session, SessionOpts,
+    Session, SessionOpts, SimulatorBackend,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -132,8 +132,8 @@ fn noisy_replica_minting_replays_per_replica_and_diverges_across_indices() {
     ];
     for (name, backend) in backends {
         let opts = noisy_opts(90);
-        let mut a = backend.prepare_replicas(&net, &opts, 64).unwrap();
-        let mut b = backend.prepare_replicas(&net, &opts, 64).unwrap();
+        let mut a = backend.prepare_replicas(&net, &opts, 64, None).unwrap();
+        let mut b = backend.prepare_replicas(&net, &opts, 64, None).unwrap();
         let sa = streams(&mut a, &inputs);
         let sb = streams(&mut b, &inputs);
         assert_eq!(
@@ -168,44 +168,58 @@ fn noisy_replica_minting_replays_per_replica_and_diverges_across_indices() {
 /// from a `.ebm` file feeds every replica — per-replica noisy streams
 /// from the restored pool are bit-identical to a freshly programmed
 /// in-memory pool at the same base seed, so file and memory deploys are
-/// indistinguishable at any replica count.
+/// indistinguishable at any replica count. Replica 0 also serves the
+/// stream of `Runtime::prepare_from_file`, the one-replica route through
+/// the same restore seam.
 #[test]
 fn restored_artifact_feeds_all_replicas_identically_to_fresh_prepare() {
     let net = mlp(35);
     let inputs = xs(2);
     let dir = std::env::temp_dir().join(format!("eb-shared-core-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let backends: [(&str, BackendKind, Box<dyn Backend>); 2] = [
+    let backends: [(&str, BackendKind, Box<dyn Backend>); 3] = [
         ("epcm", BackendKind::Epcm, Box::<EpcmBackend>::default()),
         (
             "photonic",
             BackendKind::Photonic,
             Box::<PhotonicBackend>::default(),
         ),
+        (
+            "simulator",
+            BackendKind::Simulator,
+            Box::<SimulatorBackend>::default(),
+        ),
     ];
     for (name, kind, backend) in backends {
         let opts = noisy_opts(41);
         let path = dir.join(format!("{name}.ebm"));
-        Runtime::builder()
+        let runtime = Runtime::builder()
             .backend(kind)
             .noise_profile(NoiseProfile::Noisy)
             .seed(41)
-            .build()
-            .save_artifact(&net, &path)
-            .unwrap();
+            .build();
+        runtime.save_artifact(&net, &path).unwrap();
         let loaded = artifact::read_model(&path).unwrap();
         let prepared = loaded
             .prepared
-            .expect("analog artifacts carry a prepared section");
+            .expect("compiled and analog artifacts carry a prepared section");
 
-        let mut fresh = backend.prepare_replicas(&net, &opts, 3).unwrap();
+        let mut fresh = backend.prepare_replicas(&net, &opts, 3, None).unwrap();
         let mut restored = backend
-            .prepare_replicas_restored(&loaded.net, &opts, prepared, 3)
+            .prepare_replicas(&loaded.net, &opts, 3, Some(prepared))
             .unwrap();
+        let restored_streams = streams(&mut restored, &inputs);
         assert_eq!(
             streams(&mut fresh, &inputs),
-            streams(&mut restored, &inputs),
+            restored_streams,
             "{name}: restored replicas must serve the fresh pool's per-replica streams"
+        );
+
+        let mut from_file = [runtime.prepare_from_file(&path).unwrap()];
+        assert_eq!(
+            streams(&mut from_file, &inputs)[0],
+            restored_streams[0],
+            "{name}: replica 0 must serve the prepare_from_file stream"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -49,7 +49,9 @@ fn wdm_tacitmap_layer_is_exact_for_every_lane_count() {
         let inputs: Vec<BitVec> = (0..lanes)
             .map(|k| BitVec::from_bools(&(0..40).map(|i| (i + 3 * k) % 4 < 2).collect::<Vec<_>>()))
             .collect();
-        let counts = mapped.execute_wdm(&inputs, &mut r).unwrap();
+        let complements: Vec<BitVec> = inputs.iter().map(BitVec::complement).collect();
+        let xnor_lanes: Vec<(&BitVec, &BitVec)> = inputs.iter().zip(&complements).collect();
+        let counts = mapped.execute_wdm_ref(&xnor_lanes, &mut r).unwrap();
         for (k, v) in inputs.iter().enumerate() {
             assert_eq!(
                 counts[k],
