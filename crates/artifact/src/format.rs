@@ -23,6 +23,11 @@
 //! [`ArtifactError::UnsupportedVersion`]. *Within* a version, unknown
 //! section ids are checksummed and skipped, which is the forward-compat
 //! channel: future writers may add sections without breaking v1 readers.
+//! The version moves only when the container or the model section
+//! changes shape. A prepared-state payload whose layout changes takes a
+//! new backend tag instead, so an older reader reports the unknown tag
+//! as a typed error and a retired tag can decode to one that says to
+//! re-export.
 
 use crate::error::ArtifactError;
 use crate::wire::{crc32, fnv1a64, fnv1a64_words};

@@ -315,10 +315,9 @@ fn prepared_summary(p: &Prepared) -> PreparedSummary {
     let detail = match &p.state {
         PreparedState::Epcm(mats) => format!("{} programmed electronic layer(s)", mats.len()),
         PreparedState::Photonic(mats) => format!("{} programmed optical layer(s)", mats.len()),
-        PreparedState::Simulator { compiled, .. } => format!(
-            "compiled program: {} instruction(s), {} vcore(s)",
-            compiled.program.len(),
-            compiled.vcores.len()
+        PreparedState::Simulator { vcores, .. } => format!(
+            "{} programmed simulator vcore(s); program recompiled on load",
+            vcores.len()
         ),
     };
     PreparedSummary {

@@ -1,6 +1,8 @@
-//! The prepared-state section: a snapshot of everything a backend's
-//! `prepare()` produces, so deploy-from-file can skip crossbar
-//! programming (and its RNG draws, write-count wear, and compile time).
+//! The prepared-state section: a snapshot of the programmed substrate a
+//! backend's `prepare()` produces, so deploy-from-file can skip crossbar
+//! programming (and its RNG draws and write-count wear). What depends only
+//! on the network and the design — a simulator's instruction stream — is
+//! not stored; restore derives it again from the model section.
 //!
 //! Restoring is *not* a re-program: device conductances, transmission
 //! levels, write counters, execution counters, and the post-programming
@@ -15,13 +17,8 @@
 //! failure mode the runtime's no-silent-fallback rule exists to prevent.
 
 use crate::error::ArtifactError;
-use crate::model::{get_shape, put_shape};
 use crate::wire::{ByteReader, ByteWriter};
-use eb_bitnn::ThresholdSpec;
-use eb_core::{
-    AluOp, ChipConfig, CompiledNetwork, Design, DesignKind, Instruction, LayerPlacement,
-    MappedVcore, MmmLane, OpticalTacitMapped, Program, VcoreAddr,
-};
+use eb_core::{ChipConfig, Design, DesignKind, MappedVcore, OpticalTacitMapped};
 use eb_mapping::{SeededTacitMapped, TacitMapped};
 use eb_photonics::{OpcmDevice, OpcmParams, OpticalCrossbar, Photodetector, Receiver, Tia};
 use eb_xbar::{
@@ -31,7 +28,10 @@ use eb_xbar::{
 
 const BACKEND_EPCM: u8 = 1;
 const BACKEND_PHOTONIC: u8 = 2;
-const BACKEND_SIMULATOR: u8 = 3;
+/// The retired simulator layout, which stored the whole compiled network
+/// (program, tables, placements) rather than just its programmed vcores.
+const BACKEND_SIMULATOR_COMPILED: u8 = 3;
+const BACKEND_SIMULATOR: u8 = 4;
 
 /// Which backend captured a prepared-state section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,12 +125,14 @@ pub enum PreparedState {
     Epcm(Vec<SeededTacitMapped>),
     /// One optical mapping per matrix layer.
     Photonic(Vec<PhotonicMat>),
-    /// A compiled simulator program with its mapped weights.
+    /// The simulator's programmed vcores. Everything else the compiler
+    /// derives (program, threshold tables, placements) is recompiled from
+    /// the artifact's model section on restore.
     Simulator {
         /// Design the network was compiled for.
         fingerprint: Box<DesignFingerprint>,
-        /// The compiled network (program, mapped vcores, tables).
-        compiled: CompiledNetwork,
+        /// One programmed vcore per matrix layer, in network order.
+        vcores: Vec<MappedVcore>,
         /// RNG state after compilation/programming.
         rng_state: [u64; 4],
     },
@@ -605,293 +607,8 @@ fn get_optical(r: &mut ByteReader<'_>) -> Result<OpticalTacitMapped, ArtifactErr
 }
 
 // ---------------------------------------------------------------------
-// Compiled-simulator codecs
+// Simulator codecs
 // ---------------------------------------------------------------------
-
-fn put_instruction(w: &mut ByteWriter, i: &Instruction) -> Result<(), ArtifactError> {
-    match i {
-        Instruction::LoadInput { dst, bits } => {
-            w.put_u8(0);
-            w.put_usize(*dst);
-            w.put_u8(*bits);
-        }
-        Instruction::Mov { dst, src } => {
-            w.put_u8(1);
-            w.put_usize(*dst);
-            w.put_usize(*src);
-        }
-        Instruction::Fill { dst, value, len } => {
-            w.put_u8(2);
-            w.put_usize(*dst);
-            w.put_f64(*value);
-            w.put_usize(*len);
-        }
-        Instruction::Const { dst, values } => {
-            w.put_u8(3);
-            w.put_usize(*dst);
-            w.put_u32(values.len() as u32);
-            for &v in values {
-                w.put_f64(v);
-            }
-        }
-        Instruction::Not { dst, src } => {
-            w.put_u8(4);
-            w.put_usize(*dst);
-            w.put_usize(*src);
-        }
-        Instruction::Window {
-            dst,
-            src,
-            channels,
-            height,
-            width,
-            kernel,
-            stride,
-            pad,
-            oy,
-            ox,
-        } => {
-            w.put_u8(5);
-            for v in [
-                *dst, *src, *channels, *height, *width, *kernel, *stride, *pad, *oy, *ox,
-            ] {
-                w.put_usize(v);
-            }
-        }
-        Instruction::Scatter {
-            dst,
-            src,
-            out_channels,
-            oh,
-            ow,
-            oy,
-            ox,
-        } => {
-            w.put_u8(6);
-            for v in [*dst, *src, *out_channels, *oh, *ow, *oy, *ox] {
-                w.put_usize(v);
-            }
-        }
-        Instruction::BitSlice { dst, src, bit } => {
-            w.put_u8(7);
-            w.put_usize(*dst);
-            w.put_usize(*src);
-            w.put_u8(*bit);
-        }
-        Instruction::ShiftAdd { dst, src, shift } => {
-            w.put_u8(8);
-            w.put_usize(*dst);
-            w.put_usize(*src);
-            w.put_i32(*shift);
-        }
-        Instruction::Alu { op, dst, a, b } => {
-            w.put_u8(9);
-            w.put_u8(match op {
-                AluOp::Add => 0,
-                AluOp::Sub => 1,
-                AluOp::Max => 2,
-            });
-            w.put_usize(*dst);
-            w.put_usize(*a);
-            w.put_usize(*b);
-        }
-        Instruction::Scale { dst, src, scale } => {
-            w.put_u8(10);
-            w.put_usize(*dst);
-            w.put_usize(*src);
-            w.put_f64(*scale);
-        }
-        Instruction::Vmm {
-            vcore,
-            dst,
-            pos,
-            neg,
-        } => {
-            w.put_u8(11);
-            for v in [*vcore, *dst, *pos, *neg] {
-                w.put_usize(v);
-            }
-        }
-        Instruction::Mmm { vcore, lanes } => {
-            w.put_u8(12);
-            w.put_usize(*vcore);
-            w.put_u32(lanes.len() as u32);
-            for lane in lanes {
-                w.put_usize(lane.pos);
-                w.put_usize(lane.neg);
-                w.put_usize(lane.dst);
-            }
-        }
-        Instruction::Threshold { dst, src, table } => {
-            w.put_u8(13);
-            for v in [*dst, *src, *table] {
-                w.put_usize(v);
-            }
-        }
-        Instruction::MaxPool2 {
-            dst,
-            src,
-            channels,
-            height,
-            width,
-        } => {
-            w.put_u8(14);
-            for v in [*dst, *src, *channels, *height, *width] {
-                w.put_usize(v);
-            }
-        }
-        Instruction::OutputFc { dst, src, layer } => {
-            w.put_u8(15);
-            for v in [*dst, *src, *layer] {
-                w.put_usize(v);
-            }
-        }
-        Instruction::Halt { result } => {
-            w.put_u8(16);
-            w.put_usize(*result);
-        }
-        // `Instruction` is non_exhaustive upstream.
-        other => {
-            return Err(ArtifactError::malformed(format!(
-                "instruction {other} has no format-v1 encoding"
-            )))
-        }
-    }
-    Ok(())
-}
-
-fn get_instruction(r: &mut ByteReader<'_>) -> Result<Instruction, ArtifactError> {
-    Ok(match r.u8()? {
-        0 => Instruction::LoadInput {
-            dst: r.usize()?,
-            bits: r.u8()?,
-        },
-        1 => Instruction::Mov {
-            dst: r.usize()?,
-            src: r.usize()?,
-        },
-        2 => Instruction::Fill {
-            dst: r.usize()?,
-            value: r.f64()?,
-            len: r.usize()?,
-        },
-        3 => {
-            let dst = r.usize()?;
-            let count = r.count(8)?;
-            let mut values = Vec::with_capacity(count);
-            for _ in 0..count {
-                values.push(r.f64()?);
-            }
-            Instruction::Const { dst, values }
-        }
-        4 => Instruction::Not {
-            dst: r.usize()?,
-            src: r.usize()?,
-        },
-        5 => Instruction::Window {
-            dst: r.usize()?,
-            src: r.usize()?,
-            channels: r.usize()?,
-            height: r.usize()?,
-            width: r.usize()?,
-            kernel: r.usize()?,
-            stride: r.usize()?,
-            pad: r.usize()?,
-            oy: r.usize()?,
-            ox: r.usize()?,
-        },
-        6 => Instruction::Scatter {
-            dst: r.usize()?,
-            src: r.usize()?,
-            out_channels: r.usize()?,
-            oh: r.usize()?,
-            ow: r.usize()?,
-            oy: r.usize()?,
-            ox: r.usize()?,
-        },
-        7 => Instruction::BitSlice {
-            dst: r.usize()?,
-            src: r.usize()?,
-            bit: r.u8()?,
-        },
-        8 => Instruction::ShiftAdd {
-            dst: r.usize()?,
-            src: r.usize()?,
-            shift: r.i32()?,
-        },
-        9 => {
-            let op = match r.u8()? {
-                0 => AluOp::Add,
-                1 => AluOp::Sub,
-                2 => AluOp::Max,
-                tag => return Err(ArtifactError::malformed(format!("alu op tag {tag}"))),
-            };
-            Instruction::Alu {
-                op,
-                dst: r.usize()?,
-                a: r.usize()?,
-                b: r.usize()?,
-            }
-        }
-        10 => Instruction::Scale {
-            dst: r.usize()?,
-            src: r.usize()?,
-            scale: r.f64()?,
-        },
-        11 => Instruction::Vmm {
-            vcore: r.usize()?,
-            dst: r.usize()?,
-            pos: r.usize()?,
-            neg: r.usize()?,
-        },
-        12 => {
-            let vcore = r.usize()?;
-            let count = r.count(24)?;
-            let mut lanes = Vec::with_capacity(count);
-            for _ in 0..count {
-                lanes.push(MmmLane {
-                    pos: r.usize()?,
-                    neg: r.usize()?,
-                    dst: r.usize()?,
-                });
-            }
-            Instruction::Mmm { vcore, lanes }
-        }
-        13 => Instruction::Threshold {
-            dst: r.usize()?,
-            src: r.usize()?,
-            table: r.usize()?,
-        },
-        14 => Instruction::MaxPool2 {
-            dst: r.usize()?,
-            src: r.usize()?,
-            channels: r.usize()?,
-            height: r.usize()?,
-            width: r.usize()?,
-        },
-        15 => Instruction::OutputFc {
-            dst: r.usize()?,
-            src: r.usize()?,
-            layer: r.usize()?,
-        },
-        16 => Instruction::Halt { result: r.usize()? },
-        tag => return Err(ArtifactError::malformed(format!("instruction tag {tag}"))),
-    })
-}
-
-fn put_spec(w: &mut ByteWriter, spec: &ThresholdSpec) {
-    w.put_i64(spec.threshold());
-    w.put_bool(spec.is_flipped());
-}
-
-fn get_spec(r: &mut ByteReader<'_>) -> Result<ThresholdSpec, ArtifactError> {
-    let t = r.i64()?;
-    Ok(if r.bool()? {
-        ThresholdSpec::fire_below(t)
-    } else {
-        ThresholdSpec::fire_at_or_above(t)
-    })
-}
 
 fn put_fingerprint(w: &mut ByteWriter, fp: &DesignFingerprint) {
     w.put_u8(match fp.kind {
@@ -930,13 +647,9 @@ fn get_fingerprint(r: &mut ByteReader<'_>) -> Result<DesignFingerprint, Artifact
     })
 }
 
-fn put_compiled(w: &mut ByteWriter, c: &CompiledNetwork) -> Result<(), ArtifactError> {
-    w.put_u32(c.program.len() as u32);
-    for i in c.program.instructions() {
-        put_instruction(w, i)?;
-    }
-    w.put_u32(c.vcores.len() as u32);
-    for vcore in &c.vcores {
+fn put_vcores(w: &mut ByteWriter, vcores: &[MappedVcore]) -> Result<(), ArtifactError> {
+    w.put_u32(vcores.len() as u32);
+    for vcore in vcores {
         match vcore {
             MappedVcore::Electronic(m) => {
                 w.put_u8(0);
@@ -954,56 +667,10 @@ fn put_compiled(w: &mut ByteWriter, c: &CompiledNetwork) -> Result<(), ArtifactE
             }
         }
     }
-    w.put_u32(c.tables.len() as u32);
-    for table in &c.tables {
-        w.put_u32(table.len() as u32);
-        for spec in table {
-            put_spec(w, spec);
-        }
-    }
-    w.put_u32(c.output_layers.len() as u32);
-    for (weights, bias) in &c.output_layers {
-        w.put_u32(weights.len() as u32);
-        w.put_u32(weights.first().map_or(0, Vec::len) as u32);
-        for row in weights {
-            for &v in row {
-                w.put_f32(v);
-            }
-        }
-        for &b in bias {
-            w.put_f32(b);
-        }
-    }
-    w.put_u32(c.placements.len() as u32);
-    for p in &c.placements {
-        w.put_str(&p.layer);
-        w.put_u32(p.crossbars.len() as u32);
-        for addr in &p.crossbars {
-            w.put_usize(addr.node);
-            w.put_usize(addr.tile);
-            w.put_usize(addr.ecore);
-            w.put_usize(addr.vcore);
-        }
-        w.put_bool(p.oversubscribed);
-    }
-    w.put_u8(match c.design {
-        DesignKind::BaselineEpcm => 0,
-        DesignKind::TacitMapEpcm => 1,
-        DesignKind::EinsteinBarrier => 2,
-    });
-    w.put_usize(c.wdm_capacity);
-    w.put_usize(c.register_count);
-    put_shape(w, c.input_shape);
     Ok(())
 }
 
-fn get_compiled(r: &mut ByteReader<'_>) -> Result<CompiledNetwork, ArtifactError> {
-    let count = r.count(1)?;
-    let mut instructions = Vec::with_capacity(count);
-    for _ in 0..count {
-        instructions.push(get_instruction(r)?);
-    }
-    let program = Program::from_instructions(instructions);
+fn get_vcores(r: &mut ByteReader<'_>) -> Result<Vec<MappedVcore>, ArtifactError> {
     let count = r.count(1)?;
     let mut vcores = Vec::with_capacity(count);
     for _ in 0..count {
@@ -1013,85 +680,7 @@ fn get_compiled(r: &mut ByteReader<'_>) -> Result<CompiledNetwork, ArtifactError
             tag => return Err(ArtifactError::malformed(format!("vcore tag {tag}"))),
         });
     }
-    let count = r.count(4)?;
-    let mut tables = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = r.count(9)?;
-        let mut table = Vec::with_capacity(len);
-        for _ in 0..len {
-            table.push(get_spec(r)?);
-        }
-        tables.push(table);
-    }
-    let count = r.count(8)?;
-    let mut output_layers = Vec::with_capacity(count);
-    for _ in 0..count {
-        let rows = r.u32()? as usize;
-        let cols = r.u32()? as usize;
-        let claimed = (rows as u64)
-            .saturating_mul(cols as u64)
-            .saturating_add(rows as u64)
-            .saturating_mul(4);
-        if claimed > r.remaining() as u64 {
-            return Err(ArtifactError::Truncated {
-                context: "compiled output layer",
-            });
-        }
-        let mut weights = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let mut row = Vec::with_capacity(cols);
-            for _ in 0..cols {
-                row.push(r.f32()?);
-            }
-            weights.push(row);
-        }
-        let mut bias = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            bias.push(r.f32()?);
-        }
-        output_layers.push((weights, bias));
-    }
-    let count = r.count(9)?;
-    let mut placements = Vec::with_capacity(count);
-    for _ in 0..count {
-        let layer = r.str()?;
-        let n = r.count(32)?;
-        let mut crossbars = Vec::with_capacity(n);
-        for _ in 0..n {
-            crossbars.push(VcoreAddr {
-                node: r.usize()?,
-                tile: r.usize()?,
-                ecore: r.usize()?,
-                vcore: r.usize()?,
-            });
-        }
-        let oversubscribed = r.bool()?;
-        placements.push(LayerPlacement {
-            layer,
-            crossbars,
-            oversubscribed,
-        });
-    }
-    let design = match r.u8()? {
-        0 => DesignKind::BaselineEpcm,
-        1 => DesignKind::TacitMapEpcm,
-        2 => DesignKind::EinsteinBarrier,
-        tag => return Err(ArtifactError::malformed(format!("design kind tag {tag}"))),
-    };
-    let wdm_capacity = r.usize()?;
-    let register_count = r.usize()?;
-    let input_shape = get_shape(r)?;
-    Ok(CompiledNetwork {
-        program,
-        vcores,
-        tables,
-        output_layers,
-        placements,
-        design,
-        wdm_capacity,
-        register_count,
-        input_shape,
-    })
+    Ok(vcores)
 }
 
 // ---------------------------------------------------------------------
@@ -1134,12 +723,12 @@ pub(crate) fn encode_prepared(p: &Prepared) -> Result<Vec<u8>, ArtifactError> {
         }
         PreparedState::Simulator {
             fingerprint,
-            compiled,
+            vcores,
             rng_state,
         } => {
             put_fingerprint(&mut w, fingerprint);
             put_rng_state(&mut w, *rng_state);
-            put_compiled(&mut w, compiled)?;
+            put_vcores(&mut w, vcores)?;
         }
     }
     Ok(w.into_inner())
@@ -1152,6 +741,12 @@ pub(crate) fn decode_prepared(payload: &[u8]) -> Result<Prepared, ArtifactError>
         BACKEND_EPCM => PreparedBackend::Epcm,
         BACKEND_PHOTONIC => PreparedBackend::Photonic,
         BACKEND_SIMULATOR => PreparedBackend::Simulator,
+        BACKEND_SIMULATOR_COMPILED => {
+            return Err(ArtifactError::malformed(format!(
+                "backend tag {BACKEND_SIMULATOR_COMPILED} is the retired simulator snapshot \
+                 layout that stored the compiled program; re-export the artifact"
+            )))
+        }
         tag => return Err(ArtifactError::malformed(format!("backend tag {tag}"))),
     };
     let meta = PreparedMeta {
@@ -1188,10 +783,10 @@ pub(crate) fn decode_prepared(payload: &[u8]) -> Result<Prepared, ArtifactError>
         PreparedBackend::Simulator => {
             let fingerprint = Box::new(get_fingerprint(&mut r)?);
             let rng_state = get_rng_state(&mut r)?;
-            let compiled = get_compiled(&mut r)?;
+            let vcores = get_vcores(&mut r)?;
             PreparedState::Simulator {
                 fingerprint,
-                compiled,
+                vcores,
                 rng_state,
             }
         }
@@ -1280,6 +875,62 @@ mod tests {
         assert_eq!(mats[0].mapped.fan_in(), 12);
         assert_eq!(mats[0].mapped.out_vectors(), 6);
         assert_eq!(mats[0].mapped.capacity(), 4);
+    }
+
+    fn simulator_state() -> Prepared {
+        let mut rng = StdRng::seed_from_u64(6);
+        let optical = OpticalTacitMapped::program(&weights(6, 12, 3), 16, 16, 4, &mut rng).unwrap();
+        let electronic =
+            TacitMapped::program(&weights(4, 6, 4), &XbarConfig::new(16, 16), &mut rng).unwrap();
+        Prepared {
+            meta: PreparedMeta {
+                backend: PreparedBackend::Simulator,
+                seed: 6,
+                noisy: false,
+                drift_t_ratio: None,
+                fault: None,
+            },
+            state: PreparedState::Simulator {
+                fingerprint: Box::new(DesignFingerprint::of(&Design::einstein_barrier())),
+                vcores: vec![
+                    MappedVcore::Optical(optical),
+                    MappedVcore::Electronic(electronic),
+                ],
+                rng_state: [5, 6, 7, 8],
+            },
+        }
+    }
+
+    #[test]
+    fn simulator_state_round_trips_vcores_and_rng() {
+        let back = roundtrip(&simulator_state());
+        let PreparedState::Simulator {
+            fingerprint,
+            vcores,
+            rng_state,
+        } = &back.state
+        else {
+            panic!("state kind changed across round trip");
+        };
+        assert!(fingerprint.matches(&Design::einstein_barrier()));
+        assert_eq!(*rng_state, [5, 6, 7, 8]);
+        assert_eq!(vcores.len(), 2);
+        assert!(matches!(&vcores[0], MappedVcore::Optical(m) if m.capacity() == 4));
+        assert!(matches!(&vcores[1], MappedVcore::Electronic(m) if m.fan_in() == 6));
+        assert_eq!(vcores[0].out_vectors(), 6);
+        assert_eq!(vcores[1].out_vectors(), 4);
+    }
+
+    #[test]
+    fn retired_simulator_tag_asks_for_a_reexport() {
+        let mut bytes = encode_prepared(&simulator_state()).unwrap();
+        assert_eq!(bytes[0], BACKEND_SIMULATOR);
+        bytes[0] = BACKEND_SIMULATOR_COMPILED;
+        let err = decode_prepared(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, ArtifactError::Malformed { context } if context.contains("re-export")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -42,10 +42,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn put_i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -125,10 +121,6 @@ impl<'a> ByteReader<'a> {
 
     pub fn u64(&mut self) -> Result<u64, ArtifactError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    pub fn i32(&mut self) -> Result<i32, ArtifactError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
     }
 
     pub fn i64(&mut self) -> Result<i64, ArtifactError> {
@@ -296,7 +288,6 @@ mod tests {
         w.put_bool(true);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 3);
-        w.put_i32(-42);
         w.put_i64(i64::MIN + 1);
         w.put_f32(1.5);
         w.put_f64(-0.125);
@@ -308,7 +299,6 @@ mod tests {
         assert!(r.bool().unwrap());
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.i32().unwrap(), -42);
         assert_eq!(r.i64().unwrap(), i64::MIN + 1);
         assert_eq!(r.f32().unwrap(), 1.5);
         assert_eq!(r.f64().unwrap(), -0.125);

@@ -12,7 +12,7 @@ use crate::arch::{ChipLayout, LayerPlacement};
 use crate::configs::{Design, DesignKind};
 use crate::isa::{AluOp, Instruction, MmmLane, Program, RegId, TableId, VcoreId};
 use crate::optical::{OpticalMapError, OpticalTacitMapped};
-use eb_bitnn::{Bnn, Layer, Shape, ThresholdSpec};
+use eb_bitnn::{BitMatrix, Bnn, Layer, Shape, ThresholdSpec};
 use eb_mapping::{MappingError, TacitMapped};
 use rand::Rng;
 use std::error::Error;
@@ -221,7 +221,8 @@ impl Regs {
     }
 }
 
-/// Compiles a network for a design.
+/// Compiles a network for a design, programming every matrix layer onto
+/// fresh crossbars with draws from `rng` (in network order).
 ///
 /// # Errors
 ///
@@ -232,6 +233,112 @@ pub fn compile(
     net: &Bnn,
     rng: &mut impl Rng,
 ) -> Result<CompiledNetwork, CompileError> {
+    lower(design, net, |weights| {
+        Ok(match design.kind {
+            DesignKind::EinsteinBarrier => MappedVcore::Optical(OpticalTacitMapped::program(
+                weights,
+                design.xbar.rows,
+                design.xbar.cols,
+                design.wdm_capacity.max(1),
+                rng,
+            )?),
+            _ => MappedVcore::Electronic(TacitMapped::program(weights, &design.xbar, rng)?),
+        })
+    })
+}
+
+/// Recompiles a network for a design over already-programmed VCores —
+/// one per matrix layer, in network order, as [`compile`] left them in
+/// [`CompiledNetwork::vcores`]. The instruction stream, threshold tables,
+/// output layers, and placements are derived from `net` and `design`
+/// alone, so this reproduces `compile`'s result exactly without
+/// re-programming a crossbar or drawing from an RNG.
+///
+/// # Errors
+///
+/// Returns [`CompileError`] when the network is not representable, or
+/// when `vcores` does not fit it: too few or too many, a VCore on the
+/// wrong substrate for the design, or one programmed for a different
+/// weight matrix, crossbar shape, or WDM capacity.
+pub fn recompile(
+    design: &Design,
+    net: &Bnn,
+    vcores: Vec<MappedVcore>,
+) -> Result<CompiledNetwork, CompileError> {
+    let saved = vcores.len();
+    let mut vcores = vcores.into_iter().enumerate();
+    let compiled = lower(design, net, |weights| {
+        let (i, vcore) = vcores.next().ok_or_else(|| {
+            CompileError::Unsupported(format!(
+                "only {saved} saved vcore(s) for a network with more matrix layers"
+            ))
+        })?;
+        check_saved_vcore(design, i, &vcore, weights)?;
+        Ok(vcore)
+    })?;
+    if vcores.len() != 0 {
+        return Err(CompileError::Unsupported(format!(
+            "{saved} saved vcore(s) for a network with {} matrix layer(s)",
+            compiled.vcores.len()
+        )));
+    }
+    Ok(compiled)
+}
+
+/// Rejects saved VCore `i` unless it is what [`compile`] would have
+/// programmed for `weights` on `design`: the design's substrate, its
+/// crossbar shape and (optical) WDM capacity, and the layer's weight
+/// matrix dimensions.
+fn check_saved_vcore(
+    design: &Design,
+    i: usize,
+    vcore: &MappedVcore,
+    weights: &BitMatrix,
+) -> Result<(), CompileError> {
+    let mismatch = |what: String| {
+        Err(CompileError::Unsupported(format!(
+            "saved vcore {i} {what} ({} design)",
+            design.kind.name()
+        )))
+    };
+    let (fan_in, shape) = match (vcore, design.kind) {
+        (MappedVcore::Optical(m), DesignKind::EinsteinBarrier) => {
+            if m.capacity() != design.wdm_capacity.max(1) {
+                return mismatch(format!("carries {} WDM lanes", m.capacity()));
+            }
+            (m.fan_in(), m.xbar_shape())
+        }
+        (MappedVcore::Electronic(m), kind) if kind != DesignKind::EinsteinBarrier => {
+            (m.fan_in(), (m.config().rows, m.config().cols))
+        }
+        (MappedVcore::Optical(_), _) => return mismatch("is optical".into()),
+        _ => return mismatch("is electronic".into()),
+    };
+    if shape != (design.xbar.rows, design.xbar.cols) {
+        return mismatch(format!(
+            "is programmed on {}×{} crossbars",
+            shape.0, shape.1
+        ));
+    }
+    let (rows, cols) = (vcore.out_vectors(), fan_in);
+    if (rows, cols) != (weights.rows(), weights.cols()) {
+        return mismatch(format!(
+            "holds a {rows}×{cols} weight matrix where the layer has {}×{}",
+            weights.rows(),
+            weights.cols()
+        ));
+    }
+    Ok(())
+}
+
+/// Lowers `net` for `design`, taking each matrix layer's programmed VCore
+/// from `program_vcore` in network order — the one lowering behind
+/// [`compile`] (fresh crossbars) and [`recompile`] (saved ones).
+fn lower(
+    design: &Design,
+    net: &Bnn,
+    program_vcore: impl FnMut(&BitMatrix) -> Result<MappedVcore, CompileError>,
+) -> Result<CompiledNetwork, CompileError> {
     let mut c = Compiler {
         design: design.clone(),
         program: Program::new(),
@@ -241,7 +348,7 @@ pub fn compile(
         layout: ChipLayout::new(design.chip.clone()),
         regs: Regs::default(),
     };
-    c.lower_network(net, rng)?;
+    c.lower_network(net, program_vcore)?;
     Ok(CompiledNetwork {
         program: c.program,
         vcores: c.vcores,
@@ -269,19 +376,10 @@ impl Compiler {
     fn map_weights(
         &mut self,
         name: &str,
-        weights: &eb_bitnn::BitMatrix,
-        rng: &mut impl Rng,
+        weights: &BitMatrix,
+        program_vcore: &mut impl FnMut(&BitMatrix) -> Result<MappedVcore, CompileError>,
     ) -> Result<VcoreId, CompileError> {
-        let vcore = match self.design.kind {
-            DesignKind::EinsteinBarrier => MappedVcore::Optical(OpticalTacitMapped::program(
-                weights,
-                self.design.xbar.rows,
-                self.design.xbar.cols,
-                self.design.wdm_capacity.max(1),
-                rng,
-            )?),
-            _ => MappedVcore::Electronic(TacitMapped::program(weights, &self.design.xbar, rng)?),
-        };
+        let vcore = program_vcore(weights)?;
         self.layout.allocate(name, vcore.footprint());
         self.vcores.push(vcore);
         Ok(self.vcores.len() - 1)
@@ -481,7 +579,7 @@ impl Compiler {
         table: TableId,
         input: RegId,
         in_shape: (usize, usize, usize),
-        filters: &eb_bitnn::BitMatrix,
+        filters: &BitMatrix,
         kernel: usize,
         stride: usize,
         pad: usize,
@@ -533,7 +631,11 @@ impl Compiler {
         (out, (out_channels, oh, ow))
     }
 
-    fn lower_network(&mut self, net: &Bnn, rng: &mut impl Rng) -> Result<(), CompileError> {
+    fn lower_network(
+        &mut self,
+        net: &Bnn,
+        mut program_vcore: impl FnMut(&BitMatrix) -> Result<MappedVcore, CompileError>,
+    ) -> Result<(), CompileError> {
         let input = self.regs.alloc();
         self.program.push(Instruction::LoadInput {
             dst: input,
@@ -550,7 +652,7 @@ impl Compiler {
                         .iter_rows()
                         .map(|r| 2.0 * f64::from(r.popcount()) - weights.cols() as f64)
                         .collect();
-                    let vcore = self.map_weights(layer.name(), &weights, rng)?;
+                    let vcore = self.map_weights(layer.name(), &weights, &mut program_vcore)?;
                     let table = self.add_table(l.thresholds());
                     let pre = self.lower_bitserial_preact(vcore, cur, weights.cols(), sums, 8);
                     let out = self.regs.alloc();
@@ -563,7 +665,7 @@ impl Compiler {
                     cur_shape = Shape::Flat(weights.rows());
                 }
                 Layer::BinLinear(l) => {
-                    let vcore = self.map_weights(layer.name(), l.weights(), rng)?;
+                    let vcore = self.map_weights(layer.name(), l.weights(), &mut program_vcore)?;
                     let table = self.add_table(l.thresholds());
                     cur = self.lower_binary_matvec(vcore, table, cur);
                     cur_shape = Shape::Flat(l.weights().rows());
@@ -580,7 +682,7 @@ impl Compiler {
                     let k = l.kernel();
                     let (s, p) = (l.stride(), l.pad());
                     let filters = l.filters().clone();
-                    let vcore = self.map_weights(layer.name(), &filters, rng)?;
+                    let vcore = self.map_weights(layer.name(), &filters, &mut program_vcore)?;
                     let table = self.add_table(l.thresholds());
                     let (out, shape) =
                         self.lower_fixed_conv(vcore, table, cur, (c, h, w), &filters, k, s, p);
@@ -597,7 +699,7 @@ impl Compiler {
                         }
                     };
                     let (k, s, p, oc) = conv_params(l);
-                    let vcore = self.map_weights(layer.name(), l.filters(), rng)?;
+                    let vcore = self.map_weights(layer.name(), l.filters(), &mut program_vcore)?;
                     let table = self.add_table(l.thresholds());
                     let (out, shape) = self.lower_conv(vcore, table, cur, (c, h, w), k, s, p, oc);
                     cur = out;
@@ -658,7 +760,7 @@ impl Compiler {
 /// that fall inside the (unpadded) input — the compile-time constant that
 /// corrects the `x' = q + 127` offset per window.
 fn window_weight_sums(
-    filters: &eb_bitnn::BitMatrix,
+    filters: &BitMatrix,
     (c, h, w): (usize, usize, usize),
     kernel: usize,
     stride: usize,
@@ -792,6 +894,82 @@ mod tests {
         let c = compile(&Design::tacitmap_epcm(), &net, &mut rng).unwrap();
         assert!(c.placements.is_empty());
         assert!(c.vcores.is_empty());
+    }
+
+    fn padded_cnn() -> Bnn {
+        let mut rng = StdRng::seed_from_u64(31);
+        Bnn::new(
+            "pad-cnn",
+            Shape::Img(2, 6, 6),
+            vec![
+                Layer::FixedConv(eb_bitnn::FixedConv::random("c1", 2, 4, 3, 1, 1, &mut rng)),
+                Layer::BinConv(eb_bitnn::BinConv::random("c2", 4, 4, 3, 1, 1, &mut rng)),
+                Layer::MaxPool2,
+                Layer::Flatten,
+                Layer::Output(OutputLinear::random("out", 4 * 3 * 3, 3, &mut rng)),
+            ],
+        )
+        .unwrap()
+    }
+
+    fn vcores(design: &Design, net: &Bnn) -> Vec<MappedVcore> {
+        compile(design, net, &mut StdRng::seed_from_u64(9))
+            .unwrap()
+            .vcores
+    }
+
+    #[test]
+    fn recompile_reproduces_every_derived_fact() {
+        for net in [tiny_mlp(), padded_cnn()] {
+            for design in [Design::tacitmap_epcm(), Design::einstein_barrier()] {
+                let fresh = compile(&design, &net, &mut StdRng::seed_from_u64(9)).unwrap();
+                let saved = fresh.vcores.iter().map(MappedVcore::replicate).collect();
+                let again = recompile(&design, &net, saved).unwrap();
+                let what = format!("{} on {}", net.name(), design.kind.name());
+                assert_eq!(again.program, fresh.program, "{what}");
+                assert_eq!(again.tables, fresh.tables, "{what}");
+                assert_eq!(again.output_layers, fresh.output_layers, "{what}");
+                assert_eq!(again.placements, fresh.placements, "{what}");
+                assert_eq!(again.register_count, fresh.register_count, "{what}");
+                assert!(again.shares_core_with(&fresh), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn recompile_rejects_vcores_that_do_not_fit() {
+        let net = tiny_mlp();
+        for design in [Design::tacitmap_epcm(), Design::einstein_barrier()] {
+            let rejects = |vcores: Vec<MappedVcore>| {
+                matches!(
+                    recompile(&design, &net, vcores),
+                    Err(CompileError::Unsupported(_))
+                )
+            };
+            let mut short = vcores(&design, &net);
+            short.pop();
+            assert!(rejects(short), "short list");
+            let mut long = vcores(&design, &net);
+            long.push(long[0].replicate());
+            assert!(rejects(long), "long list");
+            let mut swapped = vcores(&design, &net);
+            swapped.swap(0, 1);
+            assert!(rejects(swapped), "wrong weight shape");
+            let mut small = design.clone();
+            small.xbar.rows /= 2;
+            small.xbar.cols /= 2;
+            assert!(rejects(vcores(&small, &net)), "wrong crossbar shape");
+            let other = match design.kind {
+                DesignKind::EinsteinBarrier => {
+                    let mut narrow = design.clone();
+                    narrow.wdm_capacity = 4;
+                    assert!(rejects(vcores(&narrow, &net)), "wrong WDM capacity");
+                    Design::tacitmap_epcm()
+                }
+                _ => Design::einstein_barrier(),
+            };
+            assert!(rejects(vcores(&other, &net)), "wrong substrate");
+        }
     }
 
     #[test]

@@ -291,13 +291,6 @@ impl Program {
         Self::default()
     }
 
-    /// Builds a program from an already-assembled instruction stream —
-    /// the deserialization entry point mirroring
-    /// [`Program::instructions`].
-    pub fn from_instructions(instructions: Vec<Instruction>) -> Self {
-        Self { instructions }
-    }
-
     /// Appends an instruction.
     pub fn push(&mut self, i: Instruction) {
         self.instructions.push(i);

@@ -43,7 +43,7 @@ pub mod sim;
 
 pub use arch::{ChipLayout, LayerPlacement, VcoreAddr};
 pub use area::{chip_area_mm2, crossbar_area, AreaBreakdown, AreaParams};
-pub use compiler::{compile, CompileError, CompiledNetwork, MappedVcore};
+pub use compiler::{compile, recompile, CompileError, CompiledNetwork, MappedVcore};
 pub use configs::{ChipConfig, Design, DesignKind};
 pub use gpu::GpuModel;
 pub use isa::{AluOp, Instruction, MmmLane, Program};

@@ -185,7 +185,8 @@ fn restored_mat<M: RestoredDims>(
     if fan_in != weights.cols() || outs != weights.rows() {
         return Err(EbError::Config(format!(
             "artifact prepared state layer {layer} is programmed for a {outs}×{fan_in} weight \
-             matrix but the network's layer is {}×{} on the {substrate} substrate",
+             matrix but the network's layer is {}×{} on the {substrate} substrate; it was \
+             captured for a different network",
             weights.rows(),
             weights.cols()
         )));

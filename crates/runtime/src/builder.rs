@@ -151,9 +151,9 @@ impl Runtime {
     /// Exports `net` as a `.ebm` artifact at `path`: the serialized
     /// network plus — when the configured backend supports it — a
     /// snapshot of the *prepared* substrate state (programmed crossbar
-    /// conductances, compiled instruction streams, post-programming RNG
-    /// positions) captured under this runtime's session options, so a
-    /// later [`Runtime::prepare_from_file`] skips the programming work.
+    /// conductances and post-programming RNG positions) captured under
+    /// this runtime's session options, so a later
+    /// [`Runtime::prepare_from_file`] skips the programming work.
     ///
     /// The software backend has nothing to snapshot; its artifacts carry
     /// only the model section and load through an ordinary `prepare`.

@@ -132,8 +132,8 @@ enum Rebuild<'a> {
     /// in-memory swaps.
     Swap {
         net: &'a Bnn,
-        /// Boxed: a prepared simulator snapshot inlines a whole compiled
-        /// program, and Inject/Heal rebuilds never carry one.
+        /// Boxed: a prepared snapshot is large next to the other
+        /// variants, and Inject/Heal rebuilds never carry one.
         prepared: Box<Option<Prepared>>,
         artifact: Option<ArtifactInfo>,
     },

@@ -24,8 +24,8 @@ pub enum NoiseProfile {
     Ideal,
     /// Representative device noise: ePCM programming/read variability on
     /// the electronic substrate, shot/thermal/RIN receiver noise on the
-    /// photonic one. The software and simulator backends are unaffected
-    /// (the simulator's designs model ideal devices).
+    /// photonic one, and the same per-substrate noise on the simulator's
+    /// crossbars. The software backend is unaffected.
     Noisy,
 }
 
@@ -170,10 +170,11 @@ pub trait Backend: Send + Sync {
     }
 
     /// Prepares `net` exactly as [`Backend::prepare`] would and snapshots
-    /// the resulting substrate state — programmed crossbar conductances,
-    /// compiled instruction streams, post-programming RNG positions — for
-    /// an `.ebm` artifact's prepared section, so a later load can skip
-    /// the programming/compile work entirely.
+    /// the resulting substrate state — programmed crossbar conductances
+    /// and post-programming RNG positions — for an `.ebm` artifact's
+    /// prepared section, so a later load can skip crossbar programming.
+    /// What is derived from the network alone (a simulator's instruction
+    /// stream) is not stored; restore recompiles it.
     ///
     /// Backends whose `prepare` is trivial (the software reference has
     /// nothing to snapshot) return `Ok(None)`, and the artifact simply

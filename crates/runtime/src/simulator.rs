@@ -4,10 +4,14 @@
 
 use crate::artifacts::captured_meta;
 use crate::error::EbError;
-use crate::session::{mint_replicas, Backend, Session, SessionMemory, SessionOpts, SessionStats};
+use crate::session::{
+    mint_replicas, Backend, NoiseProfile, Session, SessionMemory, SessionOpts, SessionStats,
+};
 use eb_artifact::{DesignFingerprint, Prepared, PreparedBackend, PreparedState};
 use eb_bitnn::{Bnn, Tensor};
-use eb_core::{compile, CompiledNetwork, Design, Machine};
+use eb_core::{compile, recompile, CompiledNetwork, Design, Machine, MappedVcore};
+use eb_photonics::Receiver;
+use eb_xbar::DeviceParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -42,13 +46,12 @@ impl Default for SimulatorBackend {
 }
 
 impl SimulatorBackend {
-    /// Rejects the noise knobs the compiled ideal-device designs cannot
-    /// host.
+    /// Rejects the noise knobs the compiled designs cannot host.
     fn validate_opts(&self, opts: &SessionOpts) -> Result<(), EbError> {
         if opts.noise.drift_t_ratio.is_some() {
             return Err(EbError::Config(
-                "the simulator backend compiles ideal-device designs and does not model \
-                 resistance drift; unset NoiseConfig::drift_t_ratio or use BackendKind::Epcm"
+                "the simulator backend does not model resistance drift; unset \
+                 NoiseConfig::drift_t_ratio or use BackendKind::Epcm"
                     .into(),
             ));
         }
@@ -58,7 +61,9 @@ impl SimulatorBackend {
     /// Compiles `net` from an RNG seeded at the session seed — the shared
     /// body under [`Backend::prepare_replicas`] and
     /// [`Backend::export_prepared`]. The RNG comes back positioned after
-    /// compilation's mapping draws.
+    /// compilation's mapping draws. The noisy profile programs electronic
+    /// crossbars with noisy devices and gives optical vcores the noisy
+    /// receiver, as the analog backends do.
     fn compile_fresh(
         &self,
         net: &Bnn,
@@ -66,12 +71,26 @@ impl SimulatorBackend {
     ) -> Result<(CompiledNetwork, StdRng), EbError> {
         self.validate_opts(opts)?;
         let mut rng = StdRng::seed_from_u64(opts.noise.seed);
-        Ok((compile(&self.design, net, &mut rng)?, rng))
+        let compiled = match opts.noise.profile {
+            NoiseProfile::Ideal => compile(&self.design, net, &mut rng)?,
+            NoiseProfile::Noisy => {
+                let mut design = self.design.clone();
+                design.xbar = design.xbar.with_device(DeviceParams::noisy());
+                let mut compiled = compile(&design, net, &mut rng)?;
+                for vcore in &mut compiled.vcores {
+                    if let MappedVcore::Optical(m) = vcore {
+                        m.set_receiver(Receiver::noisy());
+                    }
+                }
+                compiled
+            }
+        };
+        Ok((compiled, rng))
     }
 
-    /// Validates and unpacks a simulator prepared-state snapshot into
-    /// its compiled network and the RNG resumed at its post-compile
-    /// position.
+    /// Validates a simulator prepared-state snapshot and recompiles `net`
+    /// over its programmed vcores, returning the compiled network and the
+    /// RNG resumed at its post-compile position.
     fn restore_compiled(
         &self,
         net: &Bnn,
@@ -83,7 +102,7 @@ impl SimulatorBackend {
         self.validate_opts(opts)?;
         let PreparedState::Simulator {
             fingerprint,
-            compiled,
+            vcores,
             rng_state,
         } = prepared.state
         else {
@@ -101,14 +120,11 @@ impl SimulatorBackend {
                     .into(),
             ));
         }
-        if compiled.input_shape != net.input_shape() {
-            return Err(EbError::Config(format!(
-                "artifact prepared state was compiled for input shape {} but the network \
-                 expects {}; it was captured for a different network",
-                compiled.input_shape,
-                net.input_shape()
-            )));
-        }
+        let compiled = recompile(&self.design, net, vcores).map_err(|e| {
+            EbError::Config(format!(
+                "artifact prepared state was captured for a different network: {e}"
+            ))
+        })?;
         Ok((compiled, StdRng::from_state(rng_state)))
     }
 }
@@ -156,7 +172,7 @@ impl Backend for SimulatorBackend {
             meta: captured_meta(PreparedBackend::Simulator, &opts.noise),
             state: PreparedState::Simulator {
                 fingerprint: Box::new(DesignFingerprint::of(&self.design)),
-                compiled,
+                vcores: compiled.vcores,
                 // Captured *after* compilation consumed its mapping
                 // draws, so a restored machine's RNG sits exactly where
                 // a fresh prepare's would.
@@ -236,5 +252,43 @@ mod tests {
             assert!(stats.crossbar_steps > 0);
             assert!(stats.latency_ns > 0.0 && stats.energy_j > 0.0);
         }
+    }
+
+    #[test]
+    fn noisy_profile_is_honored_and_replays_per_seed() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let net = Bnn::new(
+            "sim-noisy",
+            Shape::Flat(24),
+            vec![
+                Layer::FixedLinear(FixedLinear::random("in", 24, 12, &mut rng)),
+                Layer::BinLinear(BinLinear::random("h", 12, 10, &mut rng)),
+                Layer::Output(OutputLinear::random("out", 10, 4, &mut rng)),
+            ],
+        )
+        .unwrap();
+        let xs: Vec<Tensor> = (0..8u64)
+            .map(|s| Tensor::from_fn(&[24], |i| ((i as f32 + s as f32) * 0.29).cos()))
+            .collect();
+        let backend = SimulatorBackend::new(Design::tacitmap_epcm());
+        let serve = |seed: u64| {
+            let mut opts = SessionOpts::default();
+            opts.noise.profile = NoiseProfile::Noisy;
+            opts.noise.seed = seed;
+            let mut session = backend.prepare(&net, &opts).unwrap();
+            xs.iter()
+                .map(|x| session.infer(x).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let mut diverged = false;
+        for seed in 0..8 {
+            let logits = serve(seed);
+            assert_eq!(logits, serve(seed), "seed {seed} must replay exactly");
+            diverged |= xs
+                .iter()
+                .zip(&logits)
+                .any(|(x, y)| *y != net.forward(x).unwrap());
+        }
+        assert!(diverged, "the noisy profile must reach the devices");
     }
 }

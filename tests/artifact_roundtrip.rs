@@ -13,17 +13,28 @@ use rand::SeedableRng;
 use std::path::PathBuf;
 
 fn mlp(seed: u64) -> Bnn {
+    mlp_with_hidden(seed, &[10])
+}
+
+/// An 18-input, 4-class MLP: a 12-wide fixed-point input layer, then one
+/// binary layer per entry of `hidden`.
+fn mlp_with_hidden(seed: u64, hidden: &[usize]) -> Bnn {
     let mut rng = StdRng::seed_from_u64(seed);
-    Bnn::new(
-        "artifact-mlp",
-        Shape::Flat(18),
-        vec![
-            Layer::FixedLinear(FixedLinear::random("in", 18, 12, &mut rng)),
-            Layer::BinLinear(BinLinear::random("h", 12, 10, &mut rng)),
-            Layer::Output(OutputLinear::random("out", 10, 4, &mut rng)),
-        ],
-    )
-    .unwrap()
+    let mut layers = vec![Layer::FixedLinear(FixedLinear::random(
+        "in", 18, 12, &mut rng,
+    ))];
+    let mut width = 12;
+    for (i, &next) in hidden.iter().enumerate() {
+        let name = format!("h{i}");
+        layers.push(Layer::BinLinear(BinLinear::random(
+            &name, width, next, &mut rng,
+        )));
+        width = next;
+    }
+    layers.push(Layer::Output(OutputLinear::random(
+        "out", width, 4, &mut rng,
+    )));
+    Bnn::new("artifact-mlp", Shape::Flat(18), layers).unwrap()
 }
 
 fn xs(n: usize) -> Vec<Tensor> {
@@ -162,7 +173,8 @@ fn software_artifacts_have_no_prepared_section() {
 }
 
 /// No-silent-fallback: a prepared section captured under conditions the
-/// loading runtime does not match is a typed error, never ignored.
+/// loading runtime does not match — options or network — is a typed
+/// error, never ignored.
 #[test]
 fn conflicting_prepared_state_is_rejected_not_dropped() {
     let net = mlp(7);
@@ -212,6 +224,38 @@ fn conflicting_prepared_state_is_rejected_not_dropped() {
 
     // The matching runtime still loads it (the artifact is fine).
     assert!(capturing.prepare_from_file(&path).is_ok());
+
+    // A model section from one network paired with a prepared section
+    // captured for another — a different hidden width, one layer more,
+    // or one layer fewer — on every backend that restores prepared
+    // state: a typed error, never a panic or a served foreign network.
+    let others = [
+        ("wider", mlp_with_hidden(7, &[14])),
+        ("deeper", mlp_with_hidden(7, &[10, 10])),
+        ("shallower", mlp_with_hidden(7, &[])),
+    ];
+    for kind in [
+        BackendKind::Epcm,
+        BackendKind::Photonic,
+        BackendKind::Simulator,
+    ] {
+        let runtime = Runtime::builder().backend(kind).seed(11).build();
+        for (what, other) in &others {
+            let captured = scratch(&format!("other-{kind}-{what}.ebm"));
+            runtime.save_artifact(other, &captured).unwrap();
+            let prepared = artifact::read_model(&captured).unwrap().prepared;
+            let path = scratch(&format!("mismatched-{kind}-{what}.ebm"));
+            artifact::write_model(&path, &net, prepared.as_ref()).unwrap();
+            let err = runtime
+                .prepare_from_file(&path)
+                .err()
+                .expect("a prepared section from another network must be rejected");
+            assert!(
+                matches!(err, EbError::Config(ref m) if m.contains("different network")),
+                "{kind}, {what} net: {err}"
+            );
+        }
+    }
 }
 
 /// The seed-centralization regression: a file-loaded deploy and an
