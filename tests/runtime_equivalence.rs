@@ -9,8 +9,8 @@
 //! substrate-crate imports.
 
 use einstein_barrier::bitnn::{
-    BinConv, BinLinear, Bnn, Dataset, DatasetKind, FixedConv, Layer, MlpTrainer, OutputLinear,
-    Shape, Tensor, TrainConfig,
+    BinConv, BinLinear, Bnn, Dataset, DatasetKind, FixedConv, FixedLinear, Layer, MlpTrainer,
+    OutputLinear, Shape, Tensor, TrainConfig,
 };
 use einstein_barrier::{BackendKind, NoiseConfig, NoiseProfile, Runtime};
 use rand::rngs::StdRng;
@@ -143,4 +143,66 @@ fn stats_expose_substrate_counters() {
     sim.infer(&xs[0]).unwrap();
     let s = sim.stats();
     assert!(s.latency_ns > 0.0 && s.energy_j > 0.0);
+}
+
+/// A small random MLP whose bit-serial first layer spans two 128-row
+/// chunks, so a noisy photonic read exercises partial crossbars, every
+/// WDM lane count up to `K`, and the receiver's noise draws.
+fn pinned_mlp() -> (Bnn, Vec<Tensor>) {
+    let mut rng = StdRng::seed_from_u64(41);
+    let net = Bnn::new(
+        "pinned-mlp",
+        Shape::Flat(200),
+        vec![
+            Layer::FixedLinear(FixedLinear::random("fc1", 200, 48, &mut rng)),
+            Layer::BinLinear(BinLinear::random("fc2", 48, 24, &mut rng)),
+            Layer::Output(OutputLinear::random("out", 24, 10, &mut rng)),
+        ],
+    )
+    .unwrap();
+    let xs = (0..3)
+        .map(|s| Tensor::from_fn(&[200], |i| ((i * 7 + s * 13) as f32 * 0.191).sin()))
+        .collect();
+    (net, xs)
+}
+
+#[test]
+fn noisy_photonic_stream_is_pinned() {
+    // The photonic read kernel must replay a noisy stream bit for bit:
+    // same counts, same RNG draws in the same order. These logits were
+    // recorded from the original per-cell read loop; any reordering of
+    // the power sums or of the receiver's draws moves them.
+    let (net, xs) = pinned_mlp();
+    let mut session = Runtime::builder()
+        .backend(BackendKind::Photonic)
+        .noise(NoiseConfig {
+            seed: 5,
+            profile: NoiseProfile::Noisy,
+            ..Default::default()
+        })
+        .prepare(&net)
+        .unwrap();
+    let mut got = session.infer_batch(&xs).unwrap();
+    got.extend(xs.iter().map(|x| session.infer(x).unwrap()));
+    let got: Vec<Vec<u32>> = got
+        .iter()
+        .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
+        .collect();
+    let want: [[u32; 10]; 3] = [
+        [
+            1061337843, 3166782528, 3212898378, 3201871146, 1066530299, 1068977645, 1055379284,
+            3220163454, 1069978943, 1075742412,
+        ],
+        [
+            3205042236, 1059601940, 1049700496, 1065952216, 3213455037, 3211965034, 3213104916,
+            1079350919, 3218885201, 1046518132,
+        ],
+        [
+            3205800187, 1041536600, 3217294052, 3223478074, 3224901300, 1068609259, 1061674819,
+            1065396152, 1029760400, 1066317918,
+        ],
+    ];
+    // Batched then single-request serving of the same inputs.
+    let want: Vec<Vec<u32>> = want.iter().chain(&want).map(|l| l.to_vec()).collect();
+    assert_eq!(got, want);
 }

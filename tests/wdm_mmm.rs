@@ -6,7 +6,7 @@ use eb_bitnn::{ops, BitMatrix, BitVec};
 use eb_core::OpticalTacitMapped;
 use eb_photonics::{OpcmParams, OpticalCrossbar, Receiver, Transmitter};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn rng() -> StdRng {
     StdRng::seed_from_u64(0x1DDE)
@@ -86,4 +86,68 @@ fn noisy_receiver_stays_within_one_count_at_moderate_scale() {
         max_err = max_err.max((i64::from(counts[0][0]) - 32).abs());
     }
     assert!(max_err <= 4, "receiver noise too destructive: ±{max_err}");
+}
+
+#[test]
+fn noisy_wdm_counts_and_rng_end_state_are_pinned() {
+    // A noisy read over full 256-row crossbars, with XNOR and bit-serial
+    // lanes at several lane counts. The counts and the RNG's next word
+    // afterwards were recorded from the original per-cell read loop: a
+    // faster kernel must sum the same products in the same order and
+    // draw the same noise samples in the same order.
+    let mut r = StdRng::seed_from_u64(0x5EED);
+    let weights = BitMatrix::from_fn(300, 300, |a, b| (a * 7 + b * 11) % 5 < 2);
+    let mut mapped = OpticalTacitMapped::program(&weights, 256, 256, 16, &mut r).unwrap();
+    mapped.set_receiver(Receiver::noisy());
+    let inputs: Vec<BitVec> = (0..16)
+        .map(|k| BitVec::from_bools(&(0..300).map(|i| (i * (k + 2)) % 9 < 4).collect::<Vec<_>>()))
+        .collect();
+    let complements: Vec<BitVec> = inputs.iter().map(BitVec::complement).collect();
+    let zero = BitVec::zeros(300);
+    let mut digest = Vec::new();
+    for lanes in [1usize, 5, 16] {
+        let xnor: Vec<(&BitVec, &BitVec)> = inputs.iter().zip(&complements).take(lanes).collect();
+        let serial: Vec<(&BitVec, &BitVec)> =
+            inputs.iter().map(|v| (v, &zero)).take(lanes).collect();
+        for lane_set in [xnor, serial] {
+            let counts = mapped.execute_wdm_ref(&lane_set, &mut r).unwrap();
+            let ideal: Vec<Vec<u32>> = lane_set
+                .iter()
+                .map(|(pos, neg)| {
+                    (0..300)
+                        .map(|j| {
+                            let w = weights.row(j);
+                            pos.and(&w).popcount() + neg.and(&w.complement()).popcount()
+                        })
+                        .collect()
+                })
+                .collect();
+            let flips: usize = counts
+                .iter()
+                .flatten()
+                .zip(ideal.iter().flatten())
+                .filter(|(a, b)| a != b)
+                .count();
+            // FNV-1a over every count, lane-major.
+            let hash = counts
+                .iter()
+                .flatten()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, &c| {
+                    (h ^ u64::from(c)).wrapping_mul(0x0100_0000_01b3)
+                });
+            digest.push((hash, flips));
+        }
+    }
+    // (count hash, counts off the ideal popcount) per read; noise does
+    // flip counts on the XNOR lanes, so the pin covers rounding too.
+    let want = vec![
+        (592_897_986_001_690_303, 10),
+        (1_828_086_233_679_951_757, 0),
+        (3_626_371_421_993_274_927, 44),
+        (2_414_636_204_234_035_997, 0),
+        (11_199_547_430_028_133_032, 146),
+        (5_281_812_091_170_588_661, 0),
+    ];
+    assert_eq!(digest, want);
+    assert_eq!(r.gen::<u64>(), 5_507_542_958_440_810_863);
 }
