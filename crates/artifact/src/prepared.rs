@@ -972,4 +972,41 @@ mod tests {
         // And meta options survive a clean round trip.
         assert_eq!(roundtrip(&p).meta, p.meta);
     }
+
+    /// A hand-built 1×2 optical crossbar record: one programmed cell at
+    /// `level` on a `levels`-level device, then one unprogrammed cell.
+    fn crafted_ocrossbar(levels: usize, level: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u32(1);
+        w.put_u32(2);
+        put_opcm_params(&mut w, &OpcmParams::with_levels(levels, 0.0));
+        w.put_u64(1);
+        w.put_u8(1);
+        w.put_u8(0);
+        w.put_u64(level);
+        w.put_f64(0.6);
+        w.into_inner()
+    }
+
+    #[test]
+    fn restored_opcm_levels_are_checked_not_cast() {
+        let decode = |levels: usize, level: u64| {
+            get_ocrossbar(&mut ByteReader::new(
+                &crafted_ocrossbar(levels, level),
+                "crafted",
+            ))
+        };
+        let x = decode(2, 1).unwrap();
+        assert_eq!(x.device(0, 0).map(|d| d.level()), Some(1));
+        assert_eq!(x.device(0, 1), None);
+        // At or past the device's level count, and past what the compact
+        // grid stores even when the device claims that many levels.
+        for (levels, level) in [(2, 2), (2, u64::MAX), (1000, 255), (1000, 999)] {
+            let err = decode(levels, level).unwrap_err();
+            assert!(
+                matches!(&err, ArtifactError::Malformed { context } if context.contains("level")),
+                "levels {levels}, level {level}: {err}"
+            );
+        }
+    }
 }

@@ -326,21 +326,9 @@ impl OpticalTacitMapped {
             let lo = rc * self.chunk_len;
             let hi = (lo + self.chunk_len).min(self.m);
             let len = hi - lo;
-            // Build the per-lane physical drives [pos ; neg ; 0…].
             let drives: Vec<BitVec> = lanes
                 .iter()
-                .map(|(pos, neg)| {
-                    let mut d = BitVec::zeros(self.rows);
-                    for i in 0..len {
-                        if pos.get(lo + i) == Some(true) {
-                            d.set(i, true);
-                        }
-                        if neg.get(lo + i) == Some(true) {
-                            d.set(len + i, true);
-                        }
-                    }
-                    d
-                })
+                .map(|(pos, neg)| lane_drive(pos, neg, lo, len, self.rows))
                 .collect();
             let frame = self.transmitter.encode(&drives)?;
             for (cc, xbar) in row.iter().enumerate() {
@@ -356,6 +344,37 @@ impl OpticalTacitMapped {
         }
         self.steps += 1;
         Ok(acc)
+    }
+}
+
+/// The physical drive of one lane over the row chunk `[lo, lo + len)`:
+/// `[pos ; neg ; 0…]` across `rows` crossbar rows, built a word at a
+/// time.
+fn lane_drive(pos: &BitVec, neg: &BitVec, lo: usize, len: usize, rows: usize) -> BitVec {
+    let mut words = vec![0u64; rows.div_ceil(64)];
+    or_bits(&mut words, 0, pos.words(), lo, len);
+    or_bits(&mut words, len, neg.words(), lo, len);
+    BitVec::from_words(words, rows)
+}
+
+/// ORs bits `[from, from + len)` of `src` into `dst` starting at bit
+/// `at`, 64 bits per step.
+fn or_bits(dst: &mut [u64], at: usize, src: &[u64], from: usize, len: usize) {
+    for i in (0..len).step_by(64) {
+        let n = (len - i).min(64);
+        let (w, b) = ((from + i) / 64, (from + i) % 64);
+        let mut word = src[w] >> b;
+        if b > 0 {
+            word |= src.get(w + 1).map_or(0, |next| next << (64 - b));
+        }
+        if n < 64 {
+            word &= (1 << n) - 1;
+        }
+        let (w, b) = ((at + i) / 64, (at + i) % 64);
+        dst[w] |= word << b;
+        if b > 0 && n > 64 - b {
+            dst[w + 1] |= word >> (64 - b);
+        }
     }
 }
 
@@ -454,5 +473,47 @@ mod tests {
         let w = random_bits(2, 6, 2);
         let mut mapped = OpticalTacitMapped::program(&w, 16, 4, 2, &mut r).unwrap();
         assert!(execute_xnor(&mut mapped, &[BitVec::zeros(7)], &mut r).is_err());
+    }
+
+    /// The bit-by-bit drive build [`lane_drive`] replaces.
+    fn lane_drive_reference(
+        pos: &BitVec,
+        neg: &BitVec,
+        lo: usize,
+        len: usize,
+        rows: usize,
+    ) -> BitVec {
+        let mut d = BitVec::zeros(rows);
+        for i in 0..len {
+            if pos.get(lo + i) == Some(true) {
+                d.set(i, true);
+            }
+            if neg.get(lo + i) == Some(true) {
+                d.set(len + i, true);
+            }
+        }
+        d
+    }
+
+    #[test]
+    fn word_level_drives_match_bit_by_bit() {
+        // Every chunk start, so chunks straddle word boundaries on both
+        // the source and the drive side, over dense and sparse operands.
+        let mut r = rng();
+        for m in [1usize, 63, 64, 65, 130, 200] {
+            let pos = BitVec::from_bools(&(0..m).map(|_| r.gen::<bool>()).collect::<Vec<_>>());
+            let neg = BitVec::from_bools(&(0..m).map(|_| r.gen_bool(0.2)).collect::<Vec<_>>());
+            for rows in [2usize, 64, 130, 256] {
+                let chunk = rows / 2;
+                for lo in 0..m {
+                    let len = chunk.min(m - lo);
+                    assert_eq!(
+                        lane_drive(&pos, &neg, lo, len, rows),
+                        lane_drive_reference(&pos, &neg, lo, len, rows),
+                        "m={m} rows={rows} lo={lo} len={len}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -13,6 +13,10 @@ use crate::transmitter::WdmFrame;
 use eb_bitnn::BitMatrix;
 use rand::Rng;
 
+/// Stored-level sentinel of an unprogrammed cell; the compact grid
+/// holds levels `0..UNPROGRAMMED`.
+const UNPROGRAMMED: u8 = u8::MAX;
+
 /// An optical crossbar of binary oPCM devices.
 ///
 /// # Examples
@@ -36,8 +40,30 @@ pub struct OpticalCrossbar {
     rows: usize,
     cols: usize,
     params: OpcmParams,
-    devices: Vec<Option<OpcmDevice>>,
+    /// Row-major transmission of every cell — the read snapshot itself.
+    /// Unprogrammed cells hold `t_high`: pristine GST is amorphous
+    /// (transparent).
+    transmissions: Vec<f64>,
+    /// Row-major programmed level, [`UNPROGRAMMED`] where none.
+    levels: Vec<u8>,
+    /// One past the last column holding a programmed cell: every column
+    /// from here on reads `t_high` in every row.
+    used_cols: usize,
     writes: u64,
+}
+
+/// The compact form of a device level.
+///
+/// # Errors
+///
+/// Returns [`PhotonicsError::InvalidLevel`] when `level` is at or past
+/// `params.levels` or does not fit the compact grid.
+fn compact_level(level: usize, params: &OpcmParams) -> Result<u8, PhotonicsError> {
+    let levels = params.levels.min(usize::from(UNPROGRAMMED));
+    if level >= levels {
+        return Err(PhotonicsError::InvalidLevel { level, levels });
+    }
+    Ok(level as u8)
 }
 
 impl OpticalCrossbar {
@@ -46,8 +72,10 @@ impl OpticalCrossbar {
         Self {
             rows,
             cols,
+            transmissions: vec![params.t_high; rows * cols],
+            levels: vec![UNPROGRAMMED; rows * cols],
+            used_cols: 0,
             params,
-            devices: vec![None; rows * cols],
             writes: 0,
         }
     }
@@ -57,7 +85,8 @@ impl OpticalCrossbar {
     /// replica telemetry.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.devices.capacity() * std::mem::size_of::<Option<OpcmDevice>>()
+            + self.transmissions.capacity() * std::mem::size_of::<f64>()
+            + self.levels.capacity()
     }
 
     /// Rows (input waveguides).
@@ -81,11 +110,13 @@ impl OpticalCrossbar {
     }
 
     /// The device at `(r, c)`, or `None` if unprogrammed or out of range.
-    pub fn device(&self, r: usize, c: usize) -> Option<&OpcmDevice> {
+    pub fn device(&self, r: usize, c: usize) -> Option<OpcmDevice> {
         if r >= self.rows || c >= self.cols {
             return None;
         }
-        self.devices[self.idx(r, c)].as_ref()
+        let i = self.idx(r, c);
+        (self.levels[i] != UNPROGRAMMED)
+            .then(|| OpcmDevice::from_parts(self.levels[i].into(), self.transmissions[i]))
     }
 
     /// Rebuilds a crossbar from serialized state: the exact device grid
@@ -96,7 +127,9 @@ impl OpticalCrossbar {
     /// # Errors
     ///
     /// Returns [`PhotonicsError::DimensionMismatch`] when the grid length
-    /// differs from `rows * cols`.
+    /// differs from `rows * cols`, and [`PhotonicsError::InvalidLevel`]
+    /// when a device's level is at or past `params.levels` or does not
+    /// fit the compact grid.
     pub fn from_parts(
         rows: usize,
         cols: usize,
@@ -111,24 +144,36 @@ impl OpticalCrossbar {
                 got: devices.len(),
             });
         }
-        Ok(Self {
-            rows,
-            cols,
-            params,
-            devices,
-            writes,
-        })
+        let mut xbar = Self::new(rows, cols, params);
+        xbar.writes = writes;
+        for (i, d) in devices.iter().enumerate() {
+            if let Some(d) = d {
+                let level = compact_level(d.level(), &xbar.params)?;
+                xbar.store(i, level, d.transmission());
+            }
+        }
+        Ok(xbar)
     }
 
     fn idx(&self, r: usize, c: usize) -> usize {
         r * self.cols + c
     }
 
+    /// Writes one cell of the grid (`i` row-major) and widens the
+    /// programmed-column extent to cover it.
+    fn store(&mut self, i: usize, level: u8, transmission: f64) {
+        self.levels[i] = level;
+        self.transmissions[i] = transmission;
+        self.used_cols = self.used_cols.max(i % self.cols + 1);
+    }
+
     /// Programs one device to a binary state.
     ///
     /// # Errors
     ///
-    /// Returns [`PhotonicsError::OutOfBounds`] outside the array.
+    /// Returns [`PhotonicsError::OutOfBounds`] outside the array and
+    /// [`PhotonicsError::InvalidLevel`] when the device's levels do not
+    /// fit the compact grid.
     pub fn program_bit(
         &mut self,
         r: usize,
@@ -144,8 +189,9 @@ impl OpticalCrossbar {
                 cols: self.cols,
             });
         }
-        let i = self.idx(r, c);
-        self.devices[i] = Some(OpcmDevice::program_bit(bit, &self.params, rng));
+        let d = OpcmDevice::program_bit(bit, &self.params, rng);
+        let level = compact_level(d.level(), &self.params)?;
+        self.store(self.idx(r, c), level, d.transmission());
         self.writes += 1;
         Ok(())
     }
@@ -182,17 +228,8 @@ impl OpticalCrossbar {
         if r >= self.rows || c >= self.cols {
             return None;
         }
-        self.devices[self.idx(r, c)]
-            .as_ref()
-            .map(OpcmDevice::stored_bit)
-    }
-
-    fn transmission(&self, r: usize, c: usize) -> f64 {
-        match &self.devices[self.idx(r, c)] {
-            Some(d) => d.transmission(),
-            // Pristine GST is amorphous (transparent).
-            None => self.params.t_high,
-        }
+        let level = self.levels[self.idx(r, c)];
+        (level != UNPROGRAMMED).then_some(level > 0)
     }
 
     /// One WDM MMM step: all wavelengths of `frame` traverse the crossbar
@@ -202,6 +239,13 @@ impl OpticalCrossbar {
     /// The readout is offset-calibrated: the controller knows each input's
     /// popcount, so the `t_low` leakage of crystalline devices is
     /// subtracted before rounding (see DESIGN.md).
+    ///
+    /// Every column power is the sum of `p_r · T_rc` in row order from
+    /// `-0.0`, exactly as `Iterator::sum` over the rows would add it, and
+    /// the receiver resolves lanes then columns, so counts and noise
+    /// draws are bit-identical to a per-cell walk. Columns past the last
+    /// programmed one read `t_high` in every row and share one running
+    /// sum per lane (and, on a noiseless receiver, one count).
     ///
     /// # Errors
     ///
@@ -220,6 +264,78 @@ impl OpticalCrossbar {
                 got: frame.rows(),
             });
         }
+        let lanes = frame.powers();
+        let used = self.used_cols;
+        let t_high = self.params.t_high;
+        // Lane-major powers of the programmed columns, plus one shared
+        // power per lane for the all-`t_high` columns past them.
+        let mut powers = vec![-0.0f64; lanes.len() * used];
+        let mut tail = vec![-0.0f64; lanes.len()];
+        for r in 0..self.rows {
+            let t_row = &self.transmissions[r * self.cols..r * self.cols + used];
+            for (k, row_powers) in lanes.iter().enumerate() {
+                let p = row_powers[r];
+                for (acc, &t) in powers[k * used..(k + 1) * used].iter_mut().zip(t_row) {
+                    *acc += p * t;
+                }
+                tail[k] += p * t_high;
+            }
+        }
+        let p_on = frame.on_power_mw();
+        let unit_v = receiver.tia.gain_ohm
+            * receiver.detector.responsivity
+            * (p_on * 1e-3)
+            * (self.params.t_high - self.params.t_low);
+        // The known offsets: dark current and the t_low leakage of the
+        // input's active rows.
+        let v_dark = receiver.tia.gain_ohm * receiver.detector.dark_current_a;
+        let mut out = Vec::with_capacity(lanes.len());
+        for k in 0..lanes.len() {
+            let v_leak = receiver.tia.gain_ohm
+                * receiver.detector.responsivity
+                * (p_on * 1e-3)
+                * self.params.t_low
+                * frame.active_rows(k) as f64;
+            let mut resolve = |power_mw: f64| {
+                let v = receiver.receive_mw(power_mw, rng);
+                let count = ((v - v_dark - v_leak) / unit_v).round();
+                count.clamp(0.0, self.rows as f64) as u32
+            };
+            let mut counts: Vec<u32> = powers[k * used..(k + 1) * used]
+                .iter()
+                .map(|&p| resolve(p))
+                .collect();
+            if receiver.noiseless {
+                counts.resize(self.cols, resolve(tail[k]));
+            } else {
+                counts.extend((used..self.cols).map(|_| resolve(tail[k])));
+            }
+            out.push(counts);
+        }
+        Ok(out)
+    }
+
+    /// The per-cell read [`Self::mmm_counts`] replaces, kept verbatim as
+    /// its oracle: counts and noise draws must match it bit for bit.
+    #[cfg(test)]
+    fn mmm_counts_reference(
+        &self,
+        frame: &WdmFrame,
+        receiver: &Receiver,
+        rng: &mut impl Rng,
+    ) -> Result<Vec<Vec<u32>>, PhotonicsError> {
+        if frame.rows() != self.rows {
+            return Err(PhotonicsError::DimensionMismatch {
+                what: "WDM frame rows",
+                expected: self.rows,
+                got: frame.rows(),
+            });
+        }
+        let transmission = |r: usize, c: usize| match self.device(r, c) {
+            Some(d) => d.transmission(),
+            // Pristine GST is amorphous (transparent).
+            None => self.params.t_high,
+        };
         let p_on = frame.on_power_mw();
         let unit_v = receiver.tia.gain_ohm
             * receiver.detector.responsivity
@@ -230,7 +346,7 @@ impl OpticalCrossbar {
             let mut counts = Vec::with_capacity(self.cols);
             for c in 0..self.cols {
                 let power_mw: f64 = (0..self.rows)
-                    .map(|r| row_powers[r] * self.transmission(r, c))
+                    .map(|r| row_powers[r] * transmission(r, c))
                     .sum();
                 let v = receiver.receive_mw(power_mw, rng);
                 // Subtract the known offsets: dark current and the t_low
@@ -255,6 +371,7 @@ mod tests {
     use super::*;
     use crate::transmitter::Transmitter;
     use eb_bitnn::{ops, BitVec};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -370,5 +487,59 @@ mod tests {
             "count {}",
             noisy[0][0]
         );
+    }
+
+    #[test]
+    fn program_bit_rejects_levels_past_the_compact_grid() {
+        let mut r = rng();
+        let mut wide = OpticalCrossbar::new(1, 2, OpcmParams::with_levels(300, 0.0));
+        wide.program_bit(0, 0, false, &mut r).unwrap();
+        assert!(matches!(
+            wide.program_bit(0, 1, true, &mut r),
+            Err(PhotonicsError::InvalidLevel { level: 299, .. })
+        ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The dense-grid kernel against the per-cell oracle: equal
+        /// counts and an equal RNG end state (same noise draws, same
+        /// order) over partially programmed crossbars, programming
+        /// noise on and off, every lane count, both receivers.
+        #[test]
+        fn mmm_counts_match_reference(
+            rows in 1usize..40,
+            cols in 1usize..40,
+            lanes in 1usize..=16,
+            noisy_write in any::<bool>(),
+            noisy_read in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let sigma = if noisy_write { 0.05 } else { 0.0 };
+            let mut xbar = OpticalCrossbar::new(rows, cols, OpcmParams::with_levels(2, sigma));
+            // Program a random sub-rectangle, skipping some cells, so
+            // unprogrammed rows, columns and holes all occur.
+            let (prog_rows, prog_cols) = (r.gen_range(0..=rows), r.gen_range(0..=cols));
+            for row in 0..prog_rows {
+                for col in 0..prog_cols {
+                    if r.gen_bool(0.8) {
+                        let bit = r.gen::<bool>();
+                        xbar.program_bit(row, col, bit, &mut r).unwrap();
+                    }
+                }
+            }
+            let inputs: Vec<BitVec> = (0..lanes)
+                .map(|_| BitVec::from_bools(&(0..rows).map(|_| r.gen::<bool>()).collect::<Vec<_>>()))
+                .collect();
+            let frame = Transmitter::with_capacity(16).encode(&inputs).unwrap();
+            let receiver = if noisy_read { Receiver::noisy() } else { Receiver::ideal() };
+            let (mut fast_rng, mut ref_rng) = (r.clone(), r);
+            let fast = xbar.mmm_counts(&frame, &receiver, &mut fast_rng).unwrap();
+            let reference = xbar.mmm_counts_reference(&frame, &receiver, &mut ref_rng).unwrap();
+            prop_assert_eq!(fast, reference);
+            prop_assert_eq!(fast_rng.gen::<u64>(), ref_rng.gen::<u64>());
+        }
     }
 }

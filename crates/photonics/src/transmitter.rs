@@ -204,6 +204,10 @@ impl Transmitter {
         }
         let rows = vectors.first().map_or(0, BitVec::len);
         let line = self.comb.line_power_mw(&self.laser);
+        let [off, on] = [false, true].map(|bit| {
+            self.mux
+                .pass_mw(self.voa.encode_mw(self.dmux.pass_mw(line), bit))
+        });
         let mut powers = Vec::with_capacity(vectors.len());
         let mut active = Vec::with_capacity(vectors.len());
         for v in vectors {
@@ -214,19 +218,13 @@ impl Transmitter {
                     got: v.len(),
                 });
             }
-            let row_powers: Vec<f64> = (0..rows)
-                .map(|r| {
-                    let bit = v.get(r) == Some(true);
-                    self.mux
-                        .pass_mw(self.voa.encode_mw(self.dmux.pass_mw(line), bit))
-                })
-                .collect();
+            let row_powers: Vec<f64> = v.iter().map(|bit| if bit { on } else { off }).collect();
             active.push(v.popcount() as usize);
             powers.push(row_powers);
         }
         Ok(WdmFrame {
             powers,
-            on_power_mw: self.on_power_mw(),
+            on_power_mw: on,
             active_rows: active,
         })
     }

@@ -153,6 +153,29 @@ fn noisy_streams_replay_identically_after_reload() {
     }
 }
 
+/// Photonic prepared state survives restore unchanged: the restored
+/// session serves what a fresh prepare does, and re-encoding the
+/// restored crossbars reproduces the saved file byte for byte.
+#[test]
+fn photonic_artifact_reexports_byte_identically() {
+    let net = mlp(8);
+    let runtime = Runtime::builder()
+        .backend(BackendKind::Photonic)
+        .noise_profile(NoiseProfile::Noisy)
+        .seed(4)
+        .build();
+    let path = scratch("photonic-reexport.ebm");
+    runtime.save_artifact(&net, &path).unwrap();
+    let mut restored = runtime.prepare_from_file(&path).unwrap();
+    let mut fresh = runtime.prepare(&net).unwrap();
+    for x in &xs(3) {
+        assert_eq!(restored.infer(x).unwrap(), fresh.infer(x).unwrap());
+    }
+    let loaded = artifact::read_model(&path).unwrap();
+    let again = artifact::encode(&loaded.net, loaded.prepared.as_ref()).unwrap();
+    assert_eq!(again, std::fs::read(&path).unwrap());
+}
+
 /// The software backend has no substrate state to snapshot: its
 /// artifacts carry the model section only and load everywhere.
 #[test]
