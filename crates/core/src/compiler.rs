@@ -54,31 +54,6 @@ impl MappedVcore {
             Self::Optical(m) => Self::Optical(m.replicate()),
         }
     }
-
-    /// `true` when both VCores read from the same programmed crossbars.
-    pub fn shares_core_with(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Self::Electronic(a), Self::Electronic(b)) => a.shares_core_with(b),
-            (Self::Optical(a), Self::Optical(b)) => a.shares_core_with(b),
-            _ => false,
-        }
-    }
-
-    /// Approximate heap bytes of the shared programmed crossbars.
-    pub fn core_bytes(&self) -> usize {
-        match self {
-            Self::Electronic(m) => m.core_bytes(),
-            Self::Optical(m) => m.core_bytes(),
-        }
-    }
-
-    /// Approximate heap bytes of this replica's private state.
-    pub fn rind_bytes(&self) -> usize {
-        match self {
-            Self::Electronic(m) => m.rind_bytes(),
-            Self::Optical(m) => m.rind_bytes(),
-        }
-    }
 }
 
 /// Compilation errors.
@@ -158,51 +133,6 @@ impl CompiledNetwork {
             register_count: self.register_count,
             input_shape: self.input_shape,
         }
-    }
-
-    /// `true` when every VCore pair reads from the same programmed
-    /// crossbars — the replica weight-sharing invariant.
-    pub fn shares_core_with(&self, other: &Self) -> bool {
-        self.vcores.len() == other.vcores.len()
-            && self
-                .vcores
-                .iter()
-                .zip(&other.vcores)
-                .all(|(a, b)| a.shares_core_with(b))
-    }
-
-    /// Approximate heap bytes of the shared programmed crossbars across
-    /// all VCores — counted once however many replicas share them.
-    pub fn core_bytes(&self) -> usize {
-        self.vcores.iter().map(MappedVcore::core_bytes).sum()
-    }
-
-    /// Approximate heap bytes of one replica's private state (VCore
-    /// rinds; the cloned program and tables are counted as rind since
-    /// each replica owns a copy).
-    pub fn rind_bytes(&self) -> usize {
-        let tables: usize = self
-            .tables
-            .iter()
-            .map(|t| t.len() * std::mem::size_of::<eb_bitnn::ThresholdSpec>())
-            .sum();
-        let outputs: usize = self
-            .output_layers
-            .iter()
-            .map(|(w, b)| {
-                w.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<f32>()
-                    + b.len() * std::mem::size_of::<f32>()
-            })
-            .sum();
-        std::mem::size_of::<Self>()
-            + self
-                .vcores
-                .iter()
-                .map(MappedVcore::rind_bytes)
-                .sum::<usize>()
-            + std::mem::size_of_val(self.program.instructions())
-            + tables
-            + outputs
     }
 }
 
@@ -698,10 +628,18 @@ impl Compiler {
                             )))
                         }
                     };
-                    let (k, s, p, oc) = conv_params(l);
                     let vcore = self.map_weights(layer.name(), l.filters(), &mut program_vcore)?;
                     let table = self.add_table(l.thresholds());
-                    let (out, shape) = self.lower_conv(vcore, table, cur, (c, h, w), k, s, p, oc);
+                    let (out, shape) = self.lower_conv(
+                        vcore,
+                        table,
+                        cur,
+                        (c, h, w),
+                        l.kernel(),
+                        l.stride(),
+                        l.pad(),
+                        l.filters().rows(),
+                    );
                     cur = out;
                     cur_shape = Shape::Img(shape.0, shape.1, shape.2);
                 }
@@ -787,14 +725,6 @@ fn window_weight_sums(
             sum
         })
         .collect()
-}
-
-fn conv_params(l: &eb_bitnn::BinConv) -> (usize, usize, usize, usize) {
-    // BinConv exposes filters (out_ch × fan_in); kernel/stride/pad are
-    // private, so we recover them from the public API. All built-in models
-    // use stride 1; kernel comes from fan_in / in_channels.
-    let out_ch = l.filters().rows();
-    (l.kernel(), l.stride(), l.pad(), out_ch)
 }
 
 #[cfg(test)]
@@ -931,7 +861,17 @@ mod tests {
                 assert_eq!(again.output_layers, fresh.output_layers, "{what}");
                 assert_eq!(again.placements, fresh.placements, "{what}");
                 assert_eq!(again.register_count, fresh.register_count, "{what}");
-                assert!(again.shares_core_with(&fresh), "{what}");
+                assert_eq!(again.vcores.len(), fresh.vcores.len(), "{what}");
+                for (a, b) in again.vcores.iter().zip(&fresh.vcores) {
+                    let shared = match (a, b) {
+                        (MappedVcore::Electronic(a), MappedVcore::Electronic(b)) => {
+                            a.shares_core_with(b)
+                        }
+                        (MappedVcore::Optical(a), MappedVcore::Optical(b)) => a.shares_core_with(b),
+                        _ => false,
+                    };
+                    assert!(shared, "{what}");
+                }
             }
         }
     }

@@ -66,9 +66,12 @@ impl fmt::Display for SimError {
 impl Error for SimError {}
 
 /// The simulated ECore machine: owns the compiled network, its register
-/// file, and the RNG that drives every noise draw, so one machine can be
-/// compiled once and serve many inputs (the compile-once, serve-many
-/// contract the `eb-runtime` `SimulatorBackend` builds on).
+/// file, and the RNG that drives every noise draw. It is the ISA-level
+/// oracle the batched serving lowering is tested against, and the one
+/// place modeled cost is composed: its charges depend only on shapes and
+/// lane counts, so the `eb-runtime` `SimulatorBackend` runs it once per
+/// prepare and charges that per-inference [`SimStats`] to every served
+/// inference.
 ///
 /// Callers that only hold a borrowed RNG can still construct a machine:
 /// `&mut R` implements [`Rng`], so `Machine::new(net, &design, &mut rng)`
@@ -94,17 +97,6 @@ impl<R: Rng> Machine<R> {
             rng,
             stats: SimStats::default(),
         }
-    }
-
-    /// The compiled network this machine executes.
-    pub fn network(&self) -> &CompiledNetwork {
-        &self.net
-    }
-
-    /// Releases the compiled network (e.g. to recompile for a different
-    /// design).
-    pub fn into_network(self) -> CompiledNetwork {
-        self.net
     }
 
     /// Runs the program on one input, returning the logits.

@@ -24,11 +24,6 @@ pub enum MappingError {
         /// Received length.
         got: usize,
     },
-    /// A verified execution disagreed with the software reference.
-    Mismatch {
-        /// Which mapping detected the mismatch.
-        mapping: &'static str,
-    },
     /// An underlying crossbar error.
     Xbar(XbarError),
 }
@@ -42,12 +37,6 @@ impl fmt::Display for MappingError {
             }
             Self::InputLength { expected, got } => {
                 write!(f, "input has length {got}, mapped fan-in is {expected}")
-            }
-            Self::Mismatch { mapping } => {
-                write!(
-                    f,
-                    "{mapping} execution disagreed with the software reference"
-                )
             }
             Self::Xbar(e) => write!(f, "crossbar error: {e}"),
         }

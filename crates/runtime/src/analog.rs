@@ -1,16 +1,17 @@
-//! The analog serving backends: whole networks executed layer by layer on
-//! simulated crossbars, sharing one lowering between the electronic
-//! (TacitMap-ePCM) and photonic (oPCM + WDM) substrates.
+//! The one batched crossbar lowering: whole networks executed layer by
+//! layer on simulated crossbars, shared by every crossbar backend — the
+//! electronic (TacitMap-ePCM) and photonic (oPCM + WDM) substrates here,
+//! and the simulator backend, which serves the vcores the `eb-core`
+//! compiler programmed through this same [`AnalogSession`].
 //!
-//! The lowering mirrors the EinsteinBarrier compiler (`eb-core`): binary
-//! layers drive `(x, x̄)` and read every XNOR popcount in one activation;
-//! fixed-point first layers run bit-serially over the offset-unsigned
-//! planes of `x' = q + 127`, with the per-output (or per-window)
-//! quantization offset subtracted digitally; pooling, flatten, and the
-//! real-valued output layer run on the (software) scalar unit, exactly as
-//! they ride the ECore vector FU in the simulator. In noiseless
-//! configurations every session is bit-exact against the software
-//! reference.
+//! Binary layers drive `(x, x̄)` and read every XNOR popcount in one
+//! activation; fixed-point first layers run bit-serially over the
+//! offset-unsigned planes of `x' = q + 127`, with the per-output (or
+//! per-window) quantization offset subtracted digitally; pooling,
+//! flatten, and the real-valued output layer run on the (software)
+//! scalar unit, where the compiled program runs them on the ECore vector
+//! FU. In noiseless configurations every session is bit-exact against
+//! the software reference and the compiler's `Machine`.
 
 use crate::artifacts::captured_meta;
 use crate::error::EbError;
@@ -19,7 +20,7 @@ use crate::session::{
 };
 use eb_artifact::{PhotonicMat, Prepared, PreparedBackend, PreparedState};
 use eb_bitnn::{conv_output_dims, BitMatrix, BitTensor, BitVec, Bnn, Layer, Shape, Tensor};
-use eb_core::OpticalTacitMapped;
+use eb_core::{OpticalTacitMapped, SimStats};
 use eb_mapping::{SeededTacitMapped, TacitMapped};
 use eb_photonics::{Receiver, PAPER_WDM_CAPACITY};
 use eb_xbar::{DeviceParams, FaultConfig, XbarConfig};
@@ -169,7 +170,7 @@ impl Backend for EpcmBackend {
 /// Pops the next restored matrix for `layer`, rejecting a snapshot with
 /// fewer programmed layers than the network or per-layer dimensions that
 /// do not match the layer's weights.
-fn restored_mat<M: RestoredDims>(
+pub(crate) fn restored_mat<M: RestoredDims>(
     mats: &mut impl Iterator<Item = M>,
     weights: &BitMatrix,
     layer: usize,
@@ -196,7 +197,7 @@ fn restored_mat<M: RestoredDims>(
 
 /// A restored snapshot must be consumed exactly: trailing matrices mean
 /// the artifact was captured for a different (deeper) network.
-fn reject_leftover_state(leftover: usize) -> Result<(), EbError> {
+pub(crate) fn reject_leftover_state(leftover: usize) -> Result<(), EbError> {
     if leftover != 0 {
         return Err(EbError::Config(format!(
             "artifact prepared state has {leftover} more programmed matrices than this network \
@@ -207,7 +208,7 @@ fn reject_leftover_state(leftover: usize) -> Result<(), EbError> {
 }
 
 /// The `(fan_in, out_vectors)` a restored matrix was programmed for.
-trait RestoredDims {
+pub(crate) trait RestoredDims {
     fn dims(&self) -> (usize, usize);
 }
 
@@ -458,7 +459,7 @@ fn layer_seed(base: u64, layer: usize) -> u64 {
 
 /// One matrix layer programmed onto a substrate.
 #[derive(Debug, Clone)]
-enum MappedMat {
+pub(crate) enum MappedMat {
     /// Electronic TacitMap crossbars owning their seeded RNG.
     Epcm(SeededTacitMapped),
     /// Optical TacitMap crossbars + the RNG for receiver/device draws.
@@ -593,6 +594,21 @@ enum LayerExec {
     Output,
 }
 
+impl LayerExec {
+    /// Approximate bytes of this step, its offset tables included.
+    fn bytes(&self) -> usize {
+        let tables = match self {
+            Self::FixedLinear { offsets, .. } => std::mem::size_of_val(offsets.as_slice()),
+            Self::FixedConv { offsets, .. } => offsets
+                .iter()
+                .map(|o| std::mem::size_of::<Vec<i64>>() + std::mem::size_of_val(o.as_slice()))
+                .sum(),
+            _ => 0,
+        };
+        std::mem::size_of::<Self>() + tables
+    }
+}
+
 /// Activation state of one sample while a batch walks the layer stack.
 #[derive(Debug, Clone)]
 enum AnalogAct {
@@ -615,7 +631,7 @@ enum AnalogAct {
 /// [`AnalogSession::replicate`] mints additional replicas without
 /// re-programming a single device.
 #[derive(Debug, Clone)]
-struct AnalogSession {
+pub(crate) struct AnalogSession {
     name: &'static str,
     net: Arc<Bnn>,
     mats: Vec<MappedMat>,
@@ -627,12 +643,16 @@ struct AnalogSession {
     inferences: u64,
     /// Accumulated wall-clock serving time (monotone nondecreasing).
     latency_ns: f64,
+    /// A compiled program's modeled per-inference cost. When set,
+    /// [`Session::stats`] charges it once per served inference instead of
+    /// reporting the substrate counters and wall-clock time.
+    ledger: Option<Arc<SimStats>>,
 }
 
 impl AnalogSession {
     /// Walks the network once, programming every matrix layer through
     /// `program` and precomputing the digital offset constants.
-    fn build(
+    pub(crate) fn build(
         net: &Bnn,
         mut program: impl FnMut(&BitMatrix, usize) -> Result<MappedMat, EbError>,
     ) -> Result<Self, EbError> {
@@ -707,11 +727,18 @@ impl AnalogSession {
             plan: Arc::new(plan),
             inferences: 0,
             latency_ns: 0.0,
+            ledger: None,
         })
     }
 
-    fn named(mut self, name: &'static str) -> Self {
+    pub(crate) fn named(mut self, name: &'static str) -> Self {
         self.name = name;
+        self
+    }
+
+    /// Reports modeled cost as `ledger` × served inferences.
+    pub(crate) fn charged(mut self, ledger: SimStats) -> Self {
+        self.ledger = Some(Arc::new(ledger));
         self
     }
 
@@ -722,7 +749,7 @@ impl AnalogSession {
     /// fresh prepare at that seed would use. Only *execution* noise
     /// draws from the new streams — the programmed conductances are the
     /// original's, shared.
-    fn replicate(&self, replica_seed: u64) -> Self {
+    pub(crate) fn replicate(&self, replica_seed: u64) -> Self {
         Self {
             name: self.name,
             net: Arc::clone(&self.net),
@@ -736,6 +763,7 @@ impl AnalogSession {
             plan: Arc::clone(&self.plan),
             inferences: 0,
             latency_ns: 0.0,
+            ledger: self.ledger.clone(),
         }
     }
 
@@ -929,14 +957,24 @@ impl Session for AnalogSession {
     }
 
     fn stats(&self) -> SessionStats {
-        SessionStats {
+        let mut stats = SessionStats {
             inferences: self.inferences,
             crossbar_steps: self.mats.iter().map(MappedMat::steps_taken).sum(),
             wdm_lanes: self.mats.iter().map(MappedMat::wdm_lanes).sum(),
             latency_ns: self.latency_ns,
             energy_j: self.mats.iter().map(MappedMat::energy_j).sum(),
             fault_cells: self.mats.iter().map(MappedMat::fault_count).sum::<usize>() as u64,
+        };
+        if let Some(ledger) = &self.ledger {
+            // The modeled batch-1 accelerator: every inference costs what
+            // one run of the compiled program costs.
+            let n = self.inferences;
+            stats.crossbar_steps = ledger.crossbar_steps * n;
+            stats.wdm_lanes = ledger.wdm_lanes * n;
+            stats.latency_ns = ledger.latency_ns * n as f64;
+            stats.energy_j = ledger.energy_j * n as f64;
         }
+        stats
     }
 
     fn memory(&self) -> SessionMemory {
@@ -948,11 +986,11 @@ impl Session for AnalogSession {
             .iter()
             .map(|d| d.fan_in as u64 * d.out_vectors as u64 * u64::from(d.weight_bits))
             .sum();
-        let plan_bytes = self.plan.len() as u64 * std::mem::size_of::<LayerExec>() as u64;
+        let plan_bytes: usize = self.plan.iter().map(LayerExec::bytes).sum();
         SessionMemory {
             core_bytes: self.mats.iter().map(MappedMat::core_bytes).sum::<usize>() as u64
                 + weight_bits / 8
-                + plan_bytes,
+                + plan_bytes as u64,
             replica_bytes: self.mats.iter().map(MappedMat::rind_bytes).sum::<usize>() as u64
                 + std::mem::size_of::<Self>() as u64,
         }
@@ -1412,6 +1450,31 @@ mod tests {
         // Energy scales with traffic.
         session.infer_batch(&xs).unwrap();
         assert!((session.stats().energy_j - served) > 0.9 * (served - programming));
+    }
+
+    #[test]
+    fn memory_counts_the_conv_offset_tables() {
+        // A bit-serial conv keeps one offset per (window, filter): 16×16
+        // windows × 8 filters × 8 B = 16 KiB, far more than the weights.
+        let mut rng = StdRng::seed_from_u64(37);
+        let net = Bnn::new(
+            "offset-heavy",
+            Shape::Img(1, 16, 16),
+            vec![
+                Layer::FixedConv(FixedConv::random("c1", 1, 8, 3, 1, 1, &mut rng)),
+                Layer::MaxPool2,
+                Layer::MaxPool2,
+                Layer::Flatten,
+                Layer::Output(OutputLinear::random("out", 8 * 4 * 4, 2, &mut rng)),
+            ],
+        )
+        .unwrap();
+        let session = EpcmBackend::default()
+            .program_session(&net, &SessionOpts::default())
+            .unwrap();
+        let crossbars: usize = session.mats.iter().map(MappedMat::core_bytes).sum();
+        let offsets = 16 * 16 * 8 * std::mem::size_of::<i64>();
+        assert!(session.memory().core_bytes >= (crossbars + offsets) as u64);
     }
 
     #[test]

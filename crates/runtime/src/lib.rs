@@ -14,8 +14,9 @@
 //!   (analog VMM with batched device resolution).
 //! * [`BackendKind::Photonic`] — TacitMap on oPCM crossbars behind the
 //!   full optical chain, packing drives into WDM MMM lanes.
-//! * [`BackendKind::Simulator`] — the compiled instruction-level
-//!   accelerator simulator with latency/energy accounting.
+//! * [`BackendKind::Simulator`] — the compiled accelerator: the
+//!   compiler's programmed crossbars served through the same batched
+//!   lowering, charged the compiled program's modeled latency/energy.
 //!
 //! In their noiseless (default) configurations, all four are bit-exact
 //! against each other — the paper's "golden model vs. analog substrates"

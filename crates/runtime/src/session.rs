@@ -66,7 +66,8 @@ pub struct SessionOpts {
 /// Counters a session accumulates while serving, for the substrates that
 /// provide them: every backend reports `inferences` and `latency_ns`;
 /// the analog backends add crossbar step and WDM lane counts; the
-/// simulator additionally models energy.
+/// simulator reports its compiled program's modeled per-inference steps,
+/// lanes, latency and energy times the inferences served.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SessionStats {
     /// Inferences served.

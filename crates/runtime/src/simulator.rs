@@ -1,25 +1,28 @@
-//! The instruction-level simulator backend: compiles a [`Design`] once
-//! into a reusable [`Machine`] and serves every inference through the
-//! compiled program, accumulating the design's modeled latency/energy.
+//! The accelerator-simulator backend: compiles a [`Design`] once, serves
+//! the compiled vcores through the batched crossbar lowering
+//! ([`AnalogSession`]), and charges each inference the design's modeled
+//! latency/energy from one dry run of the compiled program on a
+//! [`Machine`].
 
+use crate::analog::{reject_leftover_state, restored_mat, AnalogSession, MappedMat, RestoredDims};
 use crate::artifacts::captured_meta;
 use crate::error::EbError;
-use crate::session::{
-    mint_replicas, Backend, NoiseProfile, Session, SessionMemory, SessionOpts, SessionStats,
-};
+use crate::session::{mint_replicas, Backend, NoiseProfile, Session, SessionOpts};
 use eb_artifact::{DesignFingerprint, Prepared, PreparedBackend, PreparedState};
 use eb_bitnn::{Bnn, Tensor};
-use eb_core::{compile, recompile, CompiledNetwork, Design, Machine, MappedVcore};
+use eb_core::{compile, recompile, CompiledNetwork, Design, Machine, MappedVcore, SimStats};
+use eb_mapping::SeededTacitMapped;
 use eb_photonics::Receiver;
 use eb_xbar::DeviceParams;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Serves inference through the EinsteinBarrier accelerator simulator:
 /// `prepare` runs the compiler exactly once (mapping every layer onto the
-/// design's crossbars and emitting the instruction stream); the session
-/// then replays the program per input on a [`Machine`] that owns the
-/// compiled network and its seeded RNG.
+/// design's crossbars and emitting the instruction stream). Sessions
+/// serve the programmed vcores through the same batched lowering as the
+/// analog backends, so WDM lanes pack across a batch, and report the
+/// compiled program's modeled, batch-1 cost per inference.
 #[derive(Debug, Clone)]
 pub struct SimulatorBackend {
     design: Design,
@@ -127,6 +130,62 @@ impl SimulatorBackend {
         })?;
         Ok((compiled, StdRng::from_state(rng_state)))
     }
+
+    /// Serves `compiled` through the batched lowering. Each matrix
+    /// layer's execution RNG is seeded from one draw of `rng`, the RNG
+    /// compilation left behind, in network order.
+    fn serve_compiled(
+        &self,
+        net: &Bnn,
+        compiled: CompiledNetwork,
+        mut rng: StdRng,
+    ) -> Result<AnalogSession, EbError> {
+        let ledger = self.ledger(&compiled)?;
+        let mut vcores = compiled.vcores.into_iter();
+        let session = AnalogSession::build(net, |weights, layer| {
+            let vcore = restored_mat(&mut vcores, weights, layer, "simulator")?;
+            let layer_rng = StdRng::seed_from_u64(rng.gen());
+            match vcore {
+                MappedVcore::Electronic(m) => Ok(MappedMat::Epcm(SeededTacitMapped::from_parts(
+                    m,
+                    layer_rng.state(),
+                ))),
+                MappedVcore::Optical(mapped) => Ok(MappedMat::Photonic {
+                    mapped,
+                    rng: layer_rng,
+                    lanes: 0,
+                }),
+                _ => Err(EbError::Config(format!(
+                    "layer {layer} is compiled onto a vcore the simulator backend cannot serve"
+                ))),
+            }
+        })?;
+        reject_leftover_state(vcores.len())?;
+        Ok(session.named("simulator").charged(ledger))
+    }
+
+    /// The modeled cost of one inference: the statistics of one run of
+    /// the compiled program on a zero input. `Machine` charges depend only
+    /// on shapes and lane counts, never on data, and the dry run reads a
+    /// replica with a throwaway RNG, so no session stream is drawn from.
+    fn ledger(&self, compiled: &CompiledNetwork) -> Result<SimStats, EbError> {
+        let mut machine =
+            Machine::new(compiled.replicate(), &self.design, StdRng::seed_from_u64(0));
+        machine.run(&Tensor::zeros(&[compiled.input_shape.len()]))?;
+        Ok(machine.stats().clone())
+    }
+}
+
+impl RestoredDims for MappedVcore {
+    fn dims(&self) -> (usize, usize) {
+        let fan_in = match self {
+            Self::Electronic(m) => m.fan_in(),
+            Self::Optical(m) => m.fan_in(),
+            // A substrate this runtime does not know fits no layer.
+            _ => 0,
+        };
+        (fan_in, self.out_vectors())
+    }
 }
 
 impl Backend for SimulatorBackend {
@@ -141,29 +200,21 @@ impl Backend for SimulatorBackend {
         replicas: usize,
         restore: Option<Prepared>,
     ) -> Result<Vec<Box<dyn Session>>, EbError> {
-        // Compile (or restore) exactly once. Replica 0 owns the RNG as it
-        // stands after compilation — a restored one resumes the
-        // snapshot's position — and replicas `i ≥ 1` share its programmed
-        // vcores via `CompiledNetwork::replicate`, each with a fresh
-        // whole-machine RNG at `seed + i`.
+        // Compile (or restore) exactly once. Replica 0 seeds its layer
+        // RNGs from the RNG as it stands after compilation — a restored
+        // one resumes the snapshot's position — and replicas `i ≥ 1`
+        // share its programmed vcores, as on the analog backends.
         let (compiled, rng) = match restore {
             Some(prepared) => self.restore_compiled(net, opts, prepared)?,
             None => self.compile_fresh(net, opts)?,
         };
-        let base = SimulatorSession {
-            machine: Machine::new(compiled, &self.design, rng),
-            inferences: 0,
-        };
-        Ok(mint_replicas(base, opts.noise.seed, replicas, |s, seed| {
-            SimulatorSession {
-                machine: Machine::new(
-                    s.machine.network().replicate(),
-                    &self.design,
-                    StdRng::seed_from_u64(seed),
-                ),
-                inferences: 0,
-            }
-        }))
+        let base = self.serve_compiled(net, compiled, rng)?;
+        Ok(mint_replicas(
+            base,
+            opts.noise.seed,
+            replicas,
+            AnalogSession::replicate,
+        ))
     }
 
     fn export_prepared(&self, net: &Bnn, opts: &SessionOpts) -> Result<Option<Prepared>, EbError> {
@@ -174,50 +225,11 @@ impl Backend for SimulatorBackend {
                 fingerprint: Box::new(DesignFingerprint::of(&self.design)),
                 vcores: compiled.vcores,
                 // Captured *after* compilation consumed its mapping
-                // draws, so a restored machine's RNG sits exactly where
-                // a fresh prepare's would.
+                // draws, so a restored session seeds its layer RNGs
+                // exactly as a fresh prepare's would.
                 rng_state: rng.state(),
             },
         }))
-    }
-}
-
-/// A compiled-once serving session over the instruction-level simulator.
-#[derive(Debug)]
-struct SimulatorSession {
-    machine: Machine<StdRng>,
-    inferences: u64,
-}
-
-impl Session for SimulatorSession {
-    fn backend_name(&self) -> &'static str {
-        "simulator"
-    }
-
-    fn infer(&mut self, x: &Tensor) -> Result<Tensor, EbError> {
-        let logits = self.machine.run(x)?;
-        self.inferences += 1;
-        Ok(logits)
-    }
-
-    fn stats(&self) -> SessionStats {
-        let sim = self.machine.stats();
-        SessionStats {
-            inferences: self.inferences,
-            crossbar_steps: sim.crossbar_steps,
-            wdm_lanes: sim.wdm_lanes,
-            latency_ns: sim.latency_ns,
-            energy_j: sim.energy_j,
-            fault_cells: 0,
-        }
-    }
-
-    fn memory(&self) -> SessionMemory {
-        let net = self.machine.network();
-        SessionMemory {
-            core_bytes: net.core_bytes() as u64,
-            replica_bytes: net.rind_bytes() as u64 + std::mem::size_of::<Self>() as u64,
-        }
     }
 }
 

@@ -12,7 +12,8 @@ use einstein_barrier::bitnn::{
     BinConv, BinLinear, Bnn, Dataset, DatasetKind, FixedConv, FixedLinear, Layer, MlpTrainer,
     OutputLinear, Shape, Tensor, TrainConfig,
 };
-use einstein_barrier::{BackendKind, NoiseConfig, NoiseProfile, Runtime};
+use einstein_barrier::core::{compile, Design, Machine};
+use einstein_barrier::{BackendKind, NoiseConfig, NoiseProfile, Runtime, SimulatorBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -166,6 +167,23 @@ fn pinned_mlp() -> (Bnn, Vec<Tensor>) {
     (net, xs)
 }
 
+/// Logit bits of `pinned_mlp` served by a noisy optical crossbar read at
+/// seed 5 (at this receiver noise level they equal the noiseless logits).
+const OPTICAL_NOISY_LOGITS: [[u32; 10]; 3] = [
+    [
+        1061337843, 3166782528, 3212898378, 3201871146, 1066530299, 1068977645, 1055379284,
+        3220163454, 1069978943, 1075742412,
+    ],
+    [
+        3205042236, 1059601940, 1049700496, 1065952216, 3213455037, 3211965034, 3213104916,
+        1079350919, 3218885201, 1046518132,
+    ],
+    [
+        3205800187, 1041536600, 3217294052, 3223478074, 3224901300, 1068609259, 1061674819,
+        1065396152, 1029760400, 1066317918,
+    ],
+];
+
 #[test]
 fn noisy_photonic_stream_is_pinned() {
     // The photonic read kernel must replay a noisy stream bit for bit:
@@ -188,10 +206,86 @@ fn noisy_photonic_stream_is_pinned() {
         .iter()
         .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
         .collect();
-    let want: [[u32; 10]; 3] = [
+    // Batched then single-request serving of the same inputs.
+    let want: Vec<Vec<u32>> = OPTICAL_NOISY_LOGITS
+        .iter()
+        .chain(&OPTICAL_NOISY_LOGITS)
+        .map(|l| l.to_vec())
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// The simulator backend serves the compiler's programmed vcores through
+/// the batched crossbar lowering and charges the compiled program's
+/// modeled cost per inference. On both paper designs, over an MLP and a
+/// padded CNN, every output of mixed singles and batches equals
+/// `Bnn::forward` and `Machine::run`, and after N served inferences the
+/// session's modeled stats are the `Machine`'s after N runs.
+#[test]
+fn simulator_serves_machine_outputs_and_charges_its_stats() {
+    for (net, xs) in [pinned_mlp(), conv_net()] {
+        for design in [Design::tacitmap_epcm(), Design::einstein_barrier()] {
+            let what = format!("{} on {}", net.name(), design.kind.name());
+            let mut session = Runtime::builder()
+                .backend_impl(Box::new(SimulatorBackend::new(design.clone())))
+                .prepare(&net)
+                .unwrap();
+            let compiled = compile(&design, &net, &mut StdRng::seed_from_u64(0)).unwrap();
+            let mut machine = Machine::new(compiled, &design, StdRng::seed_from_u64(0));
+
+            let last = &xs[xs.len() - 1];
+            let mut served = vec![(&xs[0], session.infer(&xs[0]).unwrap())];
+            served.extend(xs.iter().zip(session.infer_batch(&xs).unwrap()));
+            served.extend(xs[1..].iter().zip(session.infer_batch(&xs[1..]).unwrap()));
+            served.push((last, session.infer(last).unwrap()));
+            for (x, got) in &served {
+                assert_eq!(*got, net.forward(x).unwrap(), "{what}: vs Bnn::forward");
+                assert_eq!(*got, machine.run(x).unwrap(), "{what}: vs Machine::run");
+            }
+
+            let stats = session.stats();
+            let oracle = machine.stats();
+            assert_eq!(stats.inferences, served.len() as u64, "{what}");
+            assert_eq!(stats.crossbar_steps, oracle.crossbar_steps, "{what}: steps");
+            assert_eq!(stats.wdm_lanes, oracle.wdm_lanes, "{what}: lanes");
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
+            assert!(
+                close(stats.latency_ns, oracle.latency_ns),
+                "{what}: latency"
+            );
+            assert!(close(stats.energy_j, oracle.energy_j), "{what}: energy");
+        }
+    }
+}
+
+#[test]
+fn noisy_simulator_stream_is_pinned() {
+    // The simulator seeds one execution RNG per matrix layer from the
+    // RNG compilation leaves behind; these logits pin that stream on both
+    // paper designs, batched then single.
+    let (net, xs) = pinned_mlp();
+    let logits = |design: Design| -> Vec<Vec<u32>> {
+        let mut session = Runtime::builder()
+            .backend_impl(Box::new(SimulatorBackend::new(design)))
+            .noise(NoiseConfig {
+                seed: 5,
+                profile: NoiseProfile::Noisy,
+                ..Default::default()
+            })
+            .prepare(&net)
+            .unwrap();
+        let mut got = session.infer_batch(&xs).unwrap();
+        got.extend(xs.iter().map(|x| session.infer(x).unwrap()));
+        got.iter()
+            .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    // On TacitMap-ePCM the noisy devices move logits, and the batch and
+    // the singles read different draws.
+    let tacitmap: [[u32; 10]; 6] = [
         [
-            1061337843, 3166782528, 3212898378, 3201871146, 1066530299, 1068977645, 1055379284,
-            3220163454, 1069978943, 1075742412,
+            1066395782, 1066241544, 3163234624, 1038900488, 3211559434, 1068206485, 3204822341,
+            3223818491, 1066391310, 1071452901,
         ],
         [
             3205042236, 1059601940, 1049700496, 1065952216, 3213455037, 3211965034, 3213104916,
@@ -201,8 +295,29 @@ fn noisy_photonic_stream_is_pinned() {
             3205800187, 1041536600, 3217294052, 3223478074, 3224901300, 1068609259, 1061674819,
             1065396152, 1029760400, 1066317918,
         ],
+        [
+            1061337843, 3166782528, 3212898378, 3201871146, 1066530299, 1068977645, 1055379284,
+            3220163454, 1069978943, 1075742412,
+        ],
+        [
+            3205042236, 1059601940, 1049700496, 1065952216, 3213455037, 3211965034, 3213104916,
+            1079350919, 3218885201, 1046518132,
+        ],
+        [
+            3215185825, 3207086418, 3210644699, 3202594496, 3223266184, 1062615938, 1076469908,
+            3211476560, 1075495850, 1065080307,
+        ],
     ];
-    // Batched then single-request serving of the same inputs.
-    let want: Vec<Vec<u32>> = want.iter().chain(&want).map(|l| l.to_vec()).collect();
-    assert_eq!(got, want);
+    assert_eq!(
+        logits(Design::tacitmap_epcm()),
+        tacitmap.map(|l| l.to_vec())
+    );
+    // On EinsteinBarrier this receiver noise level leaves the logits at
+    // their noiseless values, as on the photonic backend.
+    let einstein_barrier: Vec<Vec<u32>> = OPTICAL_NOISY_LOGITS
+        .iter()
+        .chain(&OPTICAL_NOISY_LOGITS)
+        .map(|l| l.to_vec())
+        .collect();
+    assert_eq!(logits(Design::einstein_barrier()), einstein_barrier);
 }

@@ -281,11 +281,7 @@ proptest! {
     ) {
         let net = random_cnn(side, ch, classes, seed);
         let xs = batch_of(net.input_shape(), batch, seed);
-        // The simulator compiles per-window programs; keep the prop-space
-        // runtime bounded by exercising the three direct backends here
-        // (the simulator is covered by the MLP case above and the matrix
-        // test).
-        for kind in [BackendKind::Software, BackendKind::Epcm, BackendKind::Photonic] {
+        for kind in BackendKind::all() {
             let mut batched = prepare(kind, &net, seed);
             let mut single = prepare(kind, &net, seed);
             let got = batched.infer_batch(&xs).expect("batch");
