@@ -153,27 +153,72 @@ fn noisy_streams_replay_identically_after_reload() {
     }
 }
 
-/// Photonic prepared state survives restore unchanged: the restored
-/// session serves what a fresh prepare does, and re-encoding the
-/// restored crossbars reproduces the saved file byte for byte.
+/// Prepared state survives restore unchanged on every crossbar backend:
+/// the restored session serves what a fresh prepare does, and
+/// re-encoding the decoded state reproduces the saved file byte for
+/// byte.
 #[test]
-fn photonic_artifact_reexports_byte_identically() {
+fn crossbar_artifacts_reexport_byte_identically() {
     let net = mlp(8);
-    let runtime = Runtime::builder()
-        .backend(BackendKind::Photonic)
-        .noise_profile(NoiseProfile::Noisy)
-        .seed(4)
-        .build();
-    let path = scratch("photonic-reexport.ebm");
-    runtime.save_artifact(&net, &path).unwrap();
-    let mut restored = runtime.prepare_from_file(&path).unwrap();
-    let mut fresh = runtime.prepare(&net).unwrap();
-    for x in &xs(3) {
-        assert_eq!(restored.infer(x).unwrap(), fresh.infer(x).unwrap());
+    for kind in [
+        BackendKind::Epcm,
+        BackendKind::Photonic,
+        BackendKind::Simulator,
+    ] {
+        let runtime = Runtime::builder()
+            .backend(kind)
+            .noise_profile(NoiseProfile::Noisy)
+            .seed(4)
+            .build();
+        let path = scratch(&format!("{kind}-reexport.ebm"));
+        runtime.save_artifact(&net, &path).unwrap();
+        let mut restored = runtime.prepare_from_file(&path).unwrap();
+        let mut fresh = runtime.prepare(&net).unwrap();
+        for x in &xs(3) {
+            assert_eq!(
+                restored.infer(x).unwrap(),
+                fresh.infer(x).unwrap(),
+                "{kind}"
+            );
+        }
+        let loaded = artifact::read_model(&path).unwrap();
+        let again = artifact::encode(&loaded.net, loaded.prepared.as_ref()).unwrap();
+        assert_eq!(again, std::fs::read(&path).unwrap(), "{kind}: re-encode");
     }
-    let loaded = artifact::read_model(&path).unwrap();
-    let again = artifact::encode(&loaded.net, loaded.prepared.as_ref()).unwrap();
-    assert_eq!(again, std::fs::read(&path).unwrap());
+}
+
+/// FNV-1a over `bytes`: a stable 64-bit digest for pinning file contents.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A fresh noisy export on every crossbar backend writes the same bytes
+/// it always has: the model section plus the prepared payload, whose
+/// programmed devices, RNG positions and counters these digests pin.
+#[test]
+fn fresh_noisy_exports_are_pinned() {
+    let net = mlp(8);
+    for (kind, want_len, want_hash) in [
+        (BackendKind::Epcm, 137_789, 0xe2f1_55aa_16fb_6368),
+        (BackendKind::Photonic, 142_935, 0xbd1a_78c7_a70a_8f46),
+        (BackendKind::Simulator, 143_109, 0x098f_1d6b_b133_59c8),
+    ] {
+        let runtime = Runtime::builder()
+            .backend(kind)
+            .noise_profile(NoiseProfile::Noisy)
+            .seed(5)
+            .build();
+        let path = scratch(&format!("pinned-{kind}.ebm"));
+        runtime.save_artifact(&net, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (want_len, want_hash),
+            "{kind}: exported bytes moved"
+        );
+    }
 }
 
 /// The software backend has no substrate state to snapshot: its

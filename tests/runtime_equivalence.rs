@@ -215,6 +215,58 @@ fn noisy_photonic_stream_is_pinned() {
     assert_eq!(got, want);
 }
 
+#[test]
+fn noisy_epcm_stream_is_pinned() {
+    // The ePCM backend programs every layer from its own seeded RNG and
+    // keeps that RNG for read and ADC noise; these logits pin the whole
+    // stream, programming draws included, batched then single. Noisy
+    // devices move the logits, and the batch and the singles read
+    // different draws.
+    let (net, xs) = pinned_mlp();
+    let mut session = Runtime::builder()
+        .backend(BackendKind::Epcm)
+        .noise(NoiseConfig {
+            seed: 5,
+            profile: NoiseProfile::Noisy,
+            ..Default::default()
+        })
+        .prepare(&net)
+        .unwrap();
+    let mut got = session.infer_batch(&xs).unwrap();
+    got.extend(xs.iter().map(|x| session.infer(x).unwrap()));
+    let got: Vec<Vec<u32>> = got
+        .iter()
+        .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
+        .collect();
+    let want: [[u32; 10]; 6] = [
+        [
+            1067250625, 1060816185, 3211903763, 3185089288, 1048461780, 1059950964, 1011512192,
+            3199545680, 1068224441, 1073803296,
+        ],
+        [
+            3204977352, 3190224364, 1059138875, 3192015004, 3186817728, 3195324352, 3169691744,
+            1073832376, 3224952338, 1058287810,
+        ],
+        [
+            3206530313, 3205976064, 3211348331, 3214162800, 3222945098, 1059122791, 1075051548,
+            3187709832, 1072580767, 3177800288,
+        ],
+        [
+            1069096269, 1070578068, 3181683072, 1053610974, 3189919140, 1064630024, 3209479910,
+            3214768607, 1057872004, 1067896102,
+        ],
+        [
+            1059616233, 3214009178, 1026195584, 1068249554, 1048171268, 3223618542, 1070199311,
+            1060718273, 1055434378, 1064512626,
+        ],
+        [
+            3202167862, 3188727472, 3214995870, 3218969180, 3223313260, 1059877393, 1069842333,
+            1059603553, 1065776332, 1042369736,
+        ],
+    ];
+    assert_eq!(got, want.map(|l| l.to_vec()));
+}
+
 /// The simulator backend serves the compiler's programmed vcores through
 /// the batched crossbar lowering and charges the compiled program's
 /// modeled cost per inference. On both paper designs, over an MLP and a
