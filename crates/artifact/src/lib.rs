@@ -38,7 +38,7 @@ use eb_bitnn::{Bnn, Layer, Shape};
 pub use error::ArtifactError;
 pub use format::{FORMAT_VERSION, MAGIC, SECTION_MODEL, SECTION_PREPARED};
 pub use prepared::{
-    DesignFingerprint, PhotonicMat, Prepared, PreparedBackend, PreparedMeta, PreparedState,
+    DesignFingerprint, Prepared, PreparedBackend, PreparedMat, PreparedMeta, PreparedState,
 };
 
 use format::{decode_container, encode_container, section_name};

@@ -19,7 +19,7 @@
 use crate::error::ArtifactError;
 use crate::wire::{ByteReader, ByteWriter};
 use eb_core::{ChipConfig, Design, DesignKind, MappedVcore, OpticalTacitMapped};
-use eb_mapping::{SeededTacitMapped, TacitMapped};
+use eb_mapping::TacitMapped;
 use eb_photonics::{OpcmDevice, OpcmParams, OpticalCrossbar, Photodetector, Receiver, Tia};
 use eb_xbar::{
     CellKind, CrossbarArray, DeviceParams, EpcmDevice, FaultConfig, VmmEngine, XbarConfig,
@@ -71,15 +71,17 @@ pub struct PreparedMeta {
     pub fault: Option<FaultConfig>,
 }
 
-/// One photonic matrix layer: the programmed optical crossbars plus the
-/// RNG position and WDM-lane counter of the owning session.
+/// One programmed matrix layer of an ePCM or photonic session: its
+/// crossbars plus the owning session's RNG position and WDM-lane counter.
 #[derive(Debug)]
-pub struct PhotonicMat {
-    /// The programmed optical mapping.
-    pub mapped: OpticalTacitMapped,
-    /// RNG state for subsequent receiver/device draws.
+pub struct PreparedMat {
+    /// The programmed crossbars: electronic under
+    /// [`PreparedState::Epcm`], optical under [`PreparedState::Photonic`].
+    pub vcore: MappedVcore,
+    /// RNG state for subsequent device/receiver draws.
     pub rng_state: [u64; 4],
-    /// WDM lanes carried so far.
+    /// WDM lanes carried so far (0 on electronic crossbars, whose
+    /// encoding stores no lane count).
     pub lanes: u64,
 }
 
@@ -121,10 +123,10 @@ impl DesignFingerprint {
 /// The backend-specific programmed state.
 #[derive(Debug)]
 pub enum PreparedState {
-    /// One seeded electronic mapping per matrix layer.
-    Epcm(Vec<SeededTacitMapped>),
-    /// One optical mapping per matrix layer.
-    Photonic(Vec<PhotonicMat>),
+    /// One electronic matrix layer per matrix layer of the network.
+    Epcm(Vec<PreparedMat>),
+    /// One optical matrix layer per matrix layer of the network.
+    Photonic(Vec<PreparedMat>),
     /// The simulator's programmed vcores. Everything else the compiler
     /// derives (program, threshold tables, placements) is recompiled from
     /// the artifact's model section on restore.
@@ -438,17 +440,6 @@ fn get_rng_state(r: &mut ByteReader<'_>) -> Result<[u64; 4], ArtifactError> {
     Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
 }
 
-fn put_seeded(w: &mut ByteWriter, m: &SeededTacitMapped) {
-    put_rng_state(w, m.rng_state());
-    put_tacitmapped(w, m.inner());
-}
-
-fn get_seeded(r: &mut ByteReader<'_>) -> Result<SeededTacitMapped, ArtifactError> {
-    let rng_state = get_rng_state(r)?;
-    let inner = get_tacitmapped(r)?;
-    Ok(SeededTacitMapped::from_parts(inner, rng_state))
-}
-
 fn put_opcm_params(w: &mut ByteWriter, p: &OpcmParams) {
     w.put_f64(p.t_high);
     w.put_f64(p.t_low);
@@ -647,7 +638,7 @@ fn get_fingerprint(r: &mut ByteReader<'_>) -> Result<DesignFingerprint, Artifact
     })
 }
 
-fn put_vcores(w: &mut ByteWriter, vcores: &[MappedVcore]) -> Result<(), ArtifactError> {
+fn put_vcores(w: &mut ByteWriter, vcores: &[MappedVcore]) {
     w.put_u32(vcores.len() as u32);
     for vcore in vcores {
         match vcore {
@@ -659,15 +650,8 @@ fn put_vcores(w: &mut ByteWriter, vcores: &[MappedVcore]) -> Result<(), Artifact
                 w.put_u8(1);
                 put_optical(w, m);
             }
-            // `MappedVcore` is non_exhaustive upstream.
-            _ => {
-                return Err(ArtifactError::malformed(
-                    "mapped vcore variant has no format-v1 encoding",
-                ))
-            }
         }
     }
-    Ok(())
 }
 
 fn get_vcores(r: &mut ByteReader<'_>) -> Result<Vec<MappedVcore>, ArtifactError> {
@@ -681,6 +665,51 @@ fn get_vcores(r: &mut ByteReader<'_>) -> Result<Vec<MappedVcore>, ArtifactError>
         });
     }
     Ok(vcores)
+}
+
+/// Writes the matrix layers of an ePCM (`optical = false`) or photonic
+/// session: per layer the RNG state, then (photonic only) the lane
+/// count, then the mapping. A layer on the other substrate has no
+/// encoding under this tag.
+fn put_mats(w: &mut ByteWriter, mats: &[PreparedMat], optical: bool) -> Result<(), ArtifactError> {
+    w.put_u32(mats.len() as u32);
+    for mat in mats {
+        put_rng_state(w, mat.rng_state);
+        match (&mat.vcore, optical) {
+            (MappedVcore::Electronic(m), false) => put_tacitmapped(w, m),
+            (MappedVcore::Optical(m), true) => {
+                w.put_u64(mat.lanes);
+                put_optical(w, m);
+            }
+            _ => {
+                return Err(ArtifactError::malformed(format!(
+                    "{} prepared state holds a layer on the other substrate",
+                    if optical { "photonic" } else { "epcm" }
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Reads what [`put_mats`] wrote.
+fn get_mats(r: &mut ByteReader<'_>, optical: bool) -> Result<Vec<PreparedMat>, ArtifactError> {
+    let count = r.count(if optical { 40 } else { 61 })?;
+    let mut mats = Vec::with_capacity(count);
+    for _ in 0..count {
+        let rng_state = get_rng_state(r)?;
+        let (lanes, vcore) = if optical {
+            (r.u64()?, MappedVcore::Optical(get_optical(r)?))
+        } else {
+            (0, MappedVcore::Electronic(get_tacitmapped(r)?))
+        };
+        mats.push(PreparedMat {
+            vcore,
+            rng_state,
+            lanes,
+        });
+    }
+    Ok(mats)
 }
 
 // ---------------------------------------------------------------------
@@ -707,20 +736,8 @@ pub(crate) fn encode_prepared(p: &Prepared) -> Result<Vec<u8>, ArtifactError> {
     put_opt_f64(&mut w, p.meta.drift_t_ratio);
     put_fault(&mut w, p.meta.fault.as_ref());
     match &p.state {
-        PreparedState::Epcm(mats) => {
-            w.put_u32(mats.len() as u32);
-            for mat in mats {
-                put_seeded(&mut w, mat);
-            }
-        }
-        PreparedState::Photonic(mats) => {
-            w.put_u32(mats.len() as u32);
-            for mat in mats {
-                put_rng_state(&mut w, mat.rng_state);
-                w.put_u64(mat.lanes);
-                put_optical(&mut w, &mat.mapped);
-            }
-        }
+        PreparedState::Epcm(mats) => put_mats(&mut w, mats, false)?,
+        PreparedState::Photonic(mats) => put_mats(&mut w, mats, true)?,
         PreparedState::Simulator {
             fingerprint,
             vcores,
@@ -728,7 +745,7 @@ pub(crate) fn encode_prepared(p: &Prepared) -> Result<Vec<u8>, ArtifactError> {
         } => {
             put_fingerprint(&mut w, fingerprint);
             put_rng_state(&mut w, *rng_state);
-            put_vcores(&mut w, vcores)?;
+            put_vcores(&mut w, vcores);
         }
     }
     Ok(w.into_inner())
@@ -757,29 +774,8 @@ pub(crate) fn decode_prepared(payload: &[u8]) -> Result<Prepared, ArtifactError>
         fault: get_fault(&mut r)?,
     };
     let state = match backend {
-        PreparedBackend::Epcm => {
-            let count = r.count(61)?;
-            let mut mats = Vec::with_capacity(count);
-            for _ in 0..count {
-                mats.push(get_seeded(&mut r)?);
-            }
-            PreparedState::Epcm(mats)
-        }
-        PreparedBackend::Photonic => {
-            let count = r.count(40)?;
-            let mut mats = Vec::with_capacity(count);
-            for _ in 0..count {
-                let rng_state = get_rng_state(&mut r)?;
-                let lanes = r.u64()?;
-                let mapped = get_optical(&mut r)?;
-                mats.push(PhotonicMat {
-                    mapped,
-                    rng_state,
-                    lanes,
-                });
-            }
-            PreparedState::Photonic(mats)
-        }
+        PreparedBackend::Epcm => PreparedState::Epcm(get_mats(&mut r, false)?),
+        PreparedBackend::Photonic => PreparedState::Photonic(get_mats(&mut r, true)?),
         PreparedBackend::Simulator => {
             let fingerprint = Box::new(get_fingerprint(&mut r)?);
             let rng_state = get_rng_state(&mut r)?;
@@ -815,7 +811,8 @@ mod tests {
     fn epcm_state_round_trips_with_identical_noisy_stream() {
         let w = weights(10, 20, 1);
         let cfg = XbarConfig::new(16, 16).with_device(DeviceParams::noisy());
-        let mapped = TacitMapped::program_seeded(&w, &cfg, 77).unwrap();
+        let mut rng = StdRng::seed_from_u64(77);
+        let mapped = TacitMapped::program(&w, &cfg, &mut rng).unwrap();
         let p = Prepared {
             meta: PreparedMeta {
                 backend: PreparedBackend::Epcm,
@@ -824,7 +821,11 @@ mod tests {
                 drift_t_ratio: None,
                 fault: None,
             },
-            state: PreparedState::Epcm(vec![mapped]),
+            state: PreparedState::Epcm(vec![PreparedMat {
+                vcore: MappedVcore::Electronic(mapped),
+                rng_state: rng.state(),
+                lanes: 0,
+            }]),
         };
         let back = roundtrip(&p);
         assert_eq!(back.meta, p.meta);
@@ -834,17 +835,19 @@ mod tests {
         // Same drives through both mappings must produce identical counts
         // even on the noisy device model: conductances and the RNG
         // position are restored verbatim, never re-drawn.
-        let mut a = orig[0].clone();
-        let mut b = rest[0].clone();
+        let mut a = orig[0].vcore.clone();
+        let mut b = rest[0].vcore.clone();
+        let mut ra = StdRng::from_state(orig[0].rng_state);
+        let mut rb = StdRng::from_state(rest[0].rng_state);
         let pos: eb_bitnn::BitVec = (0..20).map(|i| i % 3 == 0).collect();
         let neg = pos.complement();
         for _ in 0..3 {
             assert_eq!(
-                a.execute_raw(&pos, &neg).unwrap(),
-                b.execute_raw(&pos, &neg).unwrap()
+                a.activate_pairs(&[(&pos, &neg)], &mut ra).unwrap(),
+                b.activate_pairs(&[(&pos, &neg)], &mut rb).unwrap()
             );
         }
-        assert_eq!(a.rng_state(), b.rng_state());
+        assert_eq!(ra.state(), rb.state());
     }
 
     #[test]
@@ -860,8 +863,8 @@ mod tests {
                 drift_t_ratio: None,
                 fault: None,
             },
-            state: PreparedState::Photonic(vec![PhotonicMat {
-                mapped,
+            state: PreparedState::Photonic(vec![PreparedMat {
+                vcore: MappedVcore::Optical(mapped),
                 rng_state: [1, 2, 3, 4],
                 lanes: 9,
             }]),
@@ -872,9 +875,9 @@ mod tests {
         };
         assert_eq!(mats[0].rng_state, [1, 2, 3, 4]);
         assert_eq!(mats[0].lanes, 9);
-        assert_eq!(mats[0].mapped.fan_in(), 12);
-        assert_eq!(mats[0].mapped.out_vectors(), 6);
-        assert_eq!(mats[0].mapped.capacity(), 4);
+        assert_eq!(mats[0].vcore.fan_in(), 12);
+        assert_eq!(mats[0].vcore.out_vectors(), 6);
+        assert_eq!(mats[0].vcore.wdm_capacity(), Some(4));
     }
 
     fn simulator_state() -> Prepared {
@@ -931,6 +934,43 @@ mod tests {
             matches!(&err, ArtifactError::Malformed { context } if context.contains("re-export")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn layer_on_the_wrong_substrate_for_its_tag_is_malformed() {
+        let PreparedState::Simulator { vcores, .. } = simulator_state().state else {
+            unreachable!()
+        };
+        let [optical, electronic] = <[MappedVcore; 2]>::try_from(vcores).unwrap();
+        for (backend, vcore) in [
+            (PreparedBackend::Epcm, optical),
+            (PreparedBackend::Photonic, electronic),
+        ] {
+            let mats = vec![PreparedMat {
+                vcore,
+                rng_state: [1, 2, 3, 4],
+                lanes: 0,
+            }];
+            let state = match backend {
+                PreparedBackend::Epcm => PreparedState::Epcm(mats),
+                _ => PreparedState::Photonic(mats),
+            };
+            let p = Prepared {
+                meta: PreparedMeta {
+                    backend,
+                    seed: 0,
+                    noisy: false,
+                    drift_t_ratio: None,
+                    fault: None,
+                },
+                state,
+            };
+            assert!(
+                matches!(encode_prepared(&p), Err(ArtifactError::Malformed { .. })),
+                "{}",
+                backend.name()
+            );
+        }
     }
 
     #[test]

@@ -12,15 +12,18 @@ use crate::arch::{ChipLayout, LayerPlacement};
 use crate::configs::{Design, DesignKind};
 use crate::isa::{AluOp, Instruction, MmmLane, Program, RegId, TableId, VcoreId};
 use crate::optical::{OpticalMapError, OpticalTacitMapped};
-use eb_bitnn::{BitMatrix, Bnn, Layer, Shape, ThresholdSpec};
+use eb_bitnn::{BitMatrix, BitVec, Bnn, Layer, Shape, ThresholdSpec};
 use eb_mapping::{MappingError, TacitMapped};
 use rand::Rng;
 use std::error::Error;
 use std::fmt;
 
 /// A mapped VCore instance: the crossbars hosting one layer's weights.
+///
+/// This is the one programmed-layer type from the compiler to a serving
+/// session to an artifact, and the one place the electronic-vs-optical
+/// dispatch is written.
 #[derive(Debug, Clone)]
-#[non_exhaustive]
 pub enum MappedVcore {
     /// Electronic 1T1R crossbars (Baseline/TacitMap-ePCM designs).
     Electronic(TacitMapped),
@@ -29,6 +32,14 @@ pub enum MappedVcore {
 }
 
 impl MappedVcore {
+    /// Fan-in (weight-vector length).
+    pub fn fan_in(&self) -> usize {
+        match self {
+            Self::Electronic(m) => m.fan_in(),
+            Self::Optical(m) => m.fan_in(),
+        }
+    }
+
     /// Number of stored weight vectors.
     pub fn out_vectors(&self) -> usize {
         match self {
@@ -45,6 +56,78 @@ impl MappedVcore {
         }
     }
 
+    /// Per-crossbar shape `(rows, cols)` the VCore was programmed on.
+    pub fn xbar_shape(&self) -> (usize, usize) {
+        match self {
+            Self::Electronic(m) => (m.config().rows, m.config().cols),
+            Self::Optical(m) => m.xbar_shape(),
+        }
+    }
+
+    /// WDM capacity `K` of an optical VCore; `None` on electronic
+    /// crossbars, which carry no WDM lanes.
+    pub fn wdm_capacity(&self) -> Option<usize> {
+        match self {
+            Self::Electronic(_) => None,
+            Self::Optical(m) => Some(m.capacity()),
+        }
+    }
+
+    /// Activates the VCore over borrowed `(pos, neg)` half-drive pairs,
+    /// one count row per pair. Electronic crossbars take the whole batch
+    /// through the VMM engines' batched path
+    /// ([`TacitMapped::execute_ref_pairs`]); optical crossbars pack the
+    /// pairs into WDM lanes, `K` per MMM step
+    /// ([`OpticalTacitMapped::execute_wdm_ref`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OpticalMapError`] on a fan-in mismatch or a crossbar
+    /// read failure.
+    pub fn activate_pairs(
+        &mut self,
+        pairs: &[(&BitVec, &BitVec)],
+        rng: &mut impl Rng,
+    ) -> Result<Vec<Vec<u32>>, OpticalMapError> {
+        match self {
+            Self::Electronic(m) => Ok(m.execute_ref_pairs(pairs, rng)?),
+            Self::Optical(m) => {
+                let mut out = Vec::with_capacity(pairs.len());
+                for chunk in pairs.chunks(m.capacity()) {
+                    out.extend(m.execute_wdm_ref(chunk, rng)?);
+                }
+                Ok(out)
+            }
+        }
+    }
+
+    /// Crossbar steps taken so far (VMM steps; an MMM counts once).
+    pub fn steps_taken(&self) -> u64 {
+        match self {
+            Self::Electronic(m) => m.steps_taken(),
+            Self::Optical(m) => m.steps_taken(),
+        }
+    }
+
+    /// Modeled energy spent so far in joules: programming plus VMM
+    /// charges on electronic crossbars ([`TacitMapped::energy_j`]). The
+    /// optical mapping has no energy counter and reports 0.
+    pub fn energy_j(&self) -> f64 {
+        match self {
+            Self::Electronic(m) => m.energy_j(),
+            Self::Optical(_) => 0.0,
+        }
+    }
+
+    /// Faulty cells across the VCore's crossbars (0 on optical crossbars,
+    /// which have no cell fault model).
+    pub fn fault_count(&self) -> usize {
+        match self {
+            Self::Electronic(m) => m.fault_count(),
+            Self::Optical(_) => 0,
+        }
+    }
+
     /// Mints a replica sharing this VCore's programmed crossbars (an
     /// `Arc` bump per array — no re-programming, no RNG draws) with
     /// fresh telemetry counters.
@@ -52,6 +135,23 @@ impl MappedVcore {
         match self {
             Self::Electronic(m) => Self::Electronic(m.replicate()),
             Self::Optical(m) => Self::Optical(m.replicate()),
+        }
+    }
+
+    /// Approximate heap bytes of the shared programmed crossbars —
+    /// counted once however many replicas share them.
+    pub fn core_bytes(&self) -> usize {
+        match self {
+            Self::Electronic(m) => m.core_bytes(),
+            Self::Optical(m) => m.core_bytes(),
+        }
+    }
+
+    /// Approximate bytes private to this replica of the VCore.
+    pub fn rind_bytes(&self) -> usize {
+        match self {
+            Self::Electronic(m) => m.rind_bytes(),
+            Self::Optical(m) => m.rind_bytes(),
         }
     }
 }
@@ -231,26 +331,23 @@ fn check_saved_vcore(
             design.kind.name()
         )))
     };
-    let (fan_in, shape) = match (vcore, design.kind) {
-        (MappedVcore::Optical(m), DesignKind::EinsteinBarrier) => {
-            if m.capacity() != design.wdm_capacity.max(1) {
-                return mismatch(format!("carries {} WDM lanes", m.capacity()));
-            }
-            (m.fan_in(), m.xbar_shape())
+    let optical = design.kind == DesignKind::EinsteinBarrier;
+    match (vcore.wdm_capacity(), optical) {
+        (Some(_), false) => return mismatch("is optical".into()),
+        (None, true) => return mismatch("is electronic".into()),
+        (Some(k), true) if k != design.wdm_capacity.max(1) => {
+            return mismatch(format!("carries {k} WDM lanes"));
         }
-        (MappedVcore::Electronic(m), kind) if kind != DesignKind::EinsteinBarrier => {
-            (m.fan_in(), (m.config().rows, m.config().cols))
-        }
-        (MappedVcore::Optical(_), _) => return mismatch("is optical".into()),
-        _ => return mismatch("is electronic".into()),
-    };
+        _ => {}
+    }
+    let shape = vcore.xbar_shape();
     if shape != (design.xbar.rows, design.xbar.cols) {
         return mismatch(format!(
             "is programmed on {}×{} crossbars",
             shape.0, shape.1
         ));
     }
-    let (rows, cols) = (vcore.out_vectors(), fan_in);
+    let (rows, cols) = (vcore.out_vectors(), vcore.fan_in());
     if (rows, cols) != (weights.rows(), weights.cols()) {
         return mismatch(format!(
             "holds a {rows}×{cols} weight matrix where the layer has {}×{}",

@@ -5,10 +5,9 @@
 
 use crate::compiler::{CompiledNetwork, MappedVcore};
 use crate::configs::{Design, DesignKind};
-use crate::isa::Instruction;
+use crate::isa::{Instruction, MmmLane};
 use eb_bitnn::{ops, BitVec, Tensor};
 use rand::Rng;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -19,7 +18,8 @@ pub struct SimStats {
     pub instructions: u64,
     /// Crossbar activations (VMM steps; an MMM counts once).
     pub crossbar_steps: u64,
-    /// WDM lanes carried across all MMMs.
+    /// WDM lanes carried across all crossbar activations of an optical
+    /// design (a VMM carries one); 0 on electronic designs.
     pub wdm_lanes: u64,
     /// Scalar/vector FU operations.
     pub scalar_ops: u64,
@@ -27,8 +27,6 @@ pub struct SimStats {
     pub latency_ns: f64,
     /// Modeled energy, joules.
     pub energy_j: f64,
-    /// Per-opcode retired counts.
-    pub per_opcode: HashMap<&'static str, u64>,
 }
 
 /// Simulation errors.
@@ -137,7 +135,6 @@ impl<R: Rng> Machine<R> {
         let design: &Design = design;
         for instr in program.instructions() {
             stats.instructions += 1;
-            *stats.per_opcode.entry(opcode_name(instr)).or_default() += 1;
             match instr {
                 Instruction::LoadInput { dst, bits } => {
                     // Quantize then offset to unsigned (x' = q + 127).
@@ -316,53 +313,17 @@ impl<R: Rng> Machine<R> {
                     pos,
                     neg,
                 } => {
-                    let p = bits_of(regs, *pos)?;
-                    let n = bits_of(regs, *neg)?;
-                    let counts = match &mut vcores[*vcore] {
-                        MappedVcore::Electronic(m) => m
-                            .execute_raw(&p, &n, &mut *rng)
-                            .map_err(|e| SimError::Execution(e.to_string()))?,
-                        MappedVcore::Optical(m) => m
-                            .execute_wdm_ref(&[(&p, &n)], &mut *rng)
-                            .map_err(|e| SimError::Execution(e.to_string()))?
-                            .remove(0),
+                    let lane = MmmLane {
+                        pos: *pos,
+                        neg: *neg,
+                        dst: *dst,
                     };
-                    set_reg(regs, *dst, counts.iter().map(|&c| f64::from(c)).collect());
-                    let v = &vcores[*vcore];
-                    charge_crossbar(stats, design, v.out_vectors(), v.footprint(), 1);
+                    activate(regs, &mut vcores[*vcore], &mut *rng, &[lane])?;
+                    charge_crossbar(stats, design, &vcores[*vcore], 1);
                 }
                 Instruction::Mmm { vcore, lanes } => {
-                    let drives: Vec<(BitVec, BitVec)> = lanes
-                        .iter()
-                        .map(|l| Ok((bits_of(regs, l.pos)?, bits_of(regs, l.neg)?)))
-                        .collect::<Result<_, SimError>>()?;
-                    let refs: Vec<(&BitVec, &BitVec)> =
-                        drives.iter().map(|(p, n)| (p, n)).collect();
-                    let counts = match &mut vcores[*vcore] {
-                        MappedVcore::Optical(m) => m
-                            .execute_wdm_ref(&refs, &mut *rng)
-                            .map_err(|e| SimError::Execution(e.to_string()))?,
-                        MappedVcore::Electronic(m) => {
-                            // Electronic fallback: serialize the lanes.
-                            let mut out = Vec::with_capacity(drives.len());
-                            for (p, n) in refs {
-                                out.push(
-                                    m.execute_raw(p, n, &mut *rng)
-                                        .map_err(|e| SimError::Execution(e.to_string()))?,
-                                );
-                            }
-                            out
-                        }
-                    };
-                    for (lane, lane_counts) in lanes.iter().zip(counts) {
-                        set_reg(
-                            regs,
-                            lane.dst,
-                            lane_counts.iter().map(|&c| f64::from(c)).collect(),
-                        );
-                    }
-                    let v = &vcores[*vcore];
-                    charge_crossbar(stats, design, v.out_vectors(), v.footprint(), lanes.len());
+                    activate(regs, &mut vcores[*vcore], &mut *rng, lanes)?;
+                    charge_crossbar(stats, design, &vcores[*vcore], lanes.len());
                 }
                 Instruction::Threshold { dst, src, table } => {
                     let specs = &tables[*table];
@@ -433,28 +394,6 @@ impl<R: Rng> Machine<R> {
     }
 }
 
-fn opcode_name(i: &Instruction) -> &'static str {
-    match i {
-        Instruction::LoadInput { .. } => "ldin",
-        Instruction::Mov { .. } => "mov",
-        Instruction::Fill { .. } => "fill",
-        Instruction::Const { .. } => "const",
-        Instruction::Not { .. } => "not",
-        Instruction::Window { .. } => "window",
-        Instruction::Scatter { .. } => "scatter",
-        Instruction::BitSlice { .. } => "bits",
-        Instruction::ShiftAdd { .. } => "shadd",
-        Instruction::Alu { .. } => "alu",
-        Instruction::Scale { .. } => "scale",
-        Instruction::Vmm { .. } => "vmm",
-        Instruction::Mmm { .. } => "mmm",
-        Instruction::Threshold { .. } => "thr",
-        Instruction::MaxPool2 { .. } => "pool2",
-        Instruction::OutputFc { .. } => "outfc",
-        Instruction::Halt { .. } => "halt",
-    }
-}
-
 /// Borrows register `r`, or reports a read-before-write.
 fn reg(regs: &[Option<Vec<f64>>], r: usize) -> Result<&Vec<f64>, SimError> {
     regs.get(r)
@@ -490,22 +429,42 @@ fn charge_scalar(stats: &mut SimStats, elems: usize) {
     stats.energy_j += elems as f64 * 0.1e-12;
 }
 
+/// Fires `vcore` once over the half drives of `lanes` and writes each
+/// lane's per-column counts to its destination register.
+fn activate(
+    regs: &mut Vec<Option<Vec<f64>>>,
+    vcore: &mut MappedVcore,
+    rng: &mut impl Rng,
+    lanes: &[MmmLane],
+) -> Result<(), SimError> {
+    let drives: Vec<(BitVec, BitVec)> = lanes
+        .iter()
+        .map(|l| Ok((bits_of(regs, l.pos)?, bits_of(regs, l.neg)?)))
+        .collect::<Result<_, SimError>>()?;
+    let refs: Vec<(&BitVec, &BitVec)> = drives.iter().map(|(p, n)| (p, n)).collect();
+    let counts = vcore
+        .activate_pairs(&refs, rng)
+        .map_err(|e| SimError::Execution(e.to_string()))?;
+    for (lane, lane_counts) in lanes.iter().zip(counts) {
+        set_reg(
+            regs,
+            lane.dst,
+            lane_counts.iter().map(|&c| f64::from(c)).collect(),
+        );
+    }
+    Ok(())
+}
+
 /// Charges one crossbar activation (VMM or WDM MMM step).
-fn charge_crossbar(
-    stats: &mut SimStats,
-    design: &Design,
-    out_vectors: usize,
-    footprint: usize,
-    lanes: usize,
-) {
+fn charge_crossbar(stats: &mut SimStats, design: &Design, vcore: &MappedVcore, lanes: usize) {
     let xbar = &design.xbar;
-    let cols = out_vectors.min(xbar.cols);
+    let cols = vcore.out_vectors().min(xbar.cols);
     let step_ns = xbar.timings.vmm_step_ns(cols * lanes.max(1), xbar.n_adcs);
     stats.crossbar_steps += 1;
-    stats.wdm_lanes += lanes as u64;
     stats.latency_ns += step_ns;
     let energy = match (&design.kind, &design.optical) {
         (DesignKind::EinsteinBarrier, Some(opt)) => {
+            stats.wdm_lanes += lanes as u64;
             opt.step_energy_j(lanes.max(1), xbar.rows, cols)
                 + (cols * lanes.max(1)) as f64 * xbar.energies.e_adc_pj * 1e-12
         }
@@ -513,7 +472,7 @@ fn charge_crossbar(
             .energies
             .vmm_step_joules(xbar.rows, xbar.rows * cols / 2, cols * lanes.max(1)),
     };
-    stats.energy_j += energy * footprint as f64;
+    stats.energy_j += energy * vcore.footprint() as f64;
 }
 
 #[cfg(test)]
@@ -599,8 +558,17 @@ mod tests {
             eb.crossbar_steps,
             tm.crossbar_steps
         );
-        assert!(eb.per_opcode.contains_key("mmm"));
-        assert!(tm.per_opcode.contains_key("vmm"));
+        assert_eq!(tm.wdm_lanes, 0, "electronic designs carry no WDM lanes");
+        assert!(eb.wdm_lanes > eb.crossbar_steps);
+        // Only the optical design emits MMMs.
+        let mut asm = |design: Design| {
+            let compiled = crate::compiler::compile(&design, &net, &mut rng).unwrap();
+            compiled.program.disassemble()
+        };
+        let tm_asm = asm(Design::tacitmap_epcm());
+        let eb_asm = asm(Design::einstein_barrier());
+        assert!(tm_asm.contains("vmm ") && !tm_asm.contains("mmm "));
+        assert!(eb_asm.contains("mmm "));
     }
 
     #[test]

@@ -30,4 +30,4 @@ pub use error::MappingError;
 pub use plan::{
     plan_custbinary, plan_tacitmap, plan_wdm_tacitmap, MappingKind, MappingPlan, Workload,
 };
-pub use tacitmap::{SeededTacitMapped, TacitMapped};
+pub use tacitmap::TacitMapped;

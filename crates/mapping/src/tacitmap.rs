@@ -551,148 +551,6 @@ impl TacitMapped {
         self.energy_j += energy;
         Ok(acc)
     }
-
-    /// Programs `weights` with a freshly seeded RNG and returns a mapping
-    /// that **owns** that RNG for all subsequent executions — the
-    /// convenience constructor the `eb-runtime` sessions are built on.
-    /// Two mappings programmed from the same `(weights, cfg, seed)`
-    /// produce identical execution sequences, noisy devices included.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TacitMapped::program`].
-    pub fn program_seeded(
-        weights: &BitMatrix,
-        cfg: &XbarConfig,
-        seed: u64,
-    ) -> Result<SeededTacitMapped, MappingError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let inner = Self::program(weights, cfg, &mut rng)?;
-        Ok(SeededTacitMapped { inner, rng })
-    }
-}
-
-/// A [`TacitMapped`] layer that owns its RNG: programmed and executed from
-/// one seeded [`StdRng`], so callers never thread `&mut impl Rng` through
-/// the serving path. Built via [`TacitMapped::program_seeded`].
-///
-/// Determinism contract: two instances created from identical
-/// `(weights, cfg, seed)` and driven with identical call sequences return
-/// identical counts — including under programming/read/ADC noise.
-#[derive(Debug, Clone)]
-pub struct SeededTacitMapped {
-    inner: TacitMapped,
-    rng: StdRng,
-}
-
-impl SeededTacitMapped {
-    /// Executes one input vector (see [`TacitMapped::execute`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MappingError::InputLength`] on fan-in mismatch.
-    pub fn execute(&mut self, input: &BitVec) -> Result<Vec<u32>, MappingError> {
-        self.inner.execute(input, &mut self.rng)
-    }
-
-    /// Low-level activation with independent half drives (see
-    /// [`TacitMapped::execute_raw`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MappingError::InputLength`] on fan-in mismatch.
-    pub fn execute_raw(&mut self, pos: &BitVec, neg: &BitVec) -> Result<Vec<u32>, MappingError> {
-        self.inner.execute_raw(pos, neg, &mut self.rng)
-    }
-
-    /// Batched activation over borrowed half-drive pairs (see
-    /// [`TacitMapped::execute_ref_pairs`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MappingError::InputLength`] on any fan-in mismatch.
-    pub fn execute_ref_pairs(
-        &mut self,
-        pairs: &[(&BitVec, &BitVec)],
-    ) -> Result<Vec<Vec<u32>>, MappingError> {
-        self.inner.execute_ref_pairs(pairs, &mut self.rng)
-    }
-
-    /// Rebuilds a seeded mapping from previously exported state: the
-    /// restored inner mapping plus the RNG snapshot
-    /// ([`SeededTacitMapped::rng_state`]) taken at export time, so the
-    /// next noisy draw continues exactly where the exported instance left
-    /// off.
-    pub fn from_parts(inner: TacitMapped, rng_state: [u64; 4]) -> Self {
-        Self {
-            inner,
-            rng: StdRng::from_state(rng_state),
-        }
-    }
-
-    /// Snapshot of the owned RNG's position in its stream, for
-    /// serializing the mapping mid-stream (see
-    /// [`SeededTacitMapped::from_parts`]).
-    pub fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
-    }
-
-    /// Mints a replica sharing this mapping's programmed cores (see
-    /// [`TacitMapped::replicate`]) with a fresh execution RNG seeded at
-    /// `seed`. The replica reads the *same* programmed conductances but
-    /// draws its own noise stream — the shared-weight replica contract.
-    pub fn replicate(&self, seed: u64) -> Self {
-        Self {
-            inner: self.inner.replicate(),
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// `true` when both mappings read from the same programmed cores
-    /// (see [`TacitMapped::shares_core_with`]).
-    pub fn shares_core_with(&self, other: &Self) -> bool {
-        self.inner.shares_core_with(&other.inner)
-    }
-
-    /// Approximate heap bytes of the shared programmed cores (see
-    /// [`TacitMapped::core_bytes`]).
-    pub fn core_bytes(&self) -> usize {
-        self.inner.core_bytes()
-    }
-
-    /// Approximate heap bytes of this replica's private state (see
-    /// [`TacitMapped::rind_bytes`]).
-    pub fn rind_bytes(&self) -> usize {
-        self.inner.rind_bytes()
-    }
-
-    /// The underlying mapping (fan-in, footprint, step counters...).
-    pub fn inner(&self) -> &TacitMapped {
-        &self.inner
-    }
-
-    /// Resolves every subsequent read at drift time `t_ratio = t/t₀` (see
-    /// [`TacitMapped::set_drift_t_ratio`]).
-    pub fn set_drift_t_ratio(&mut self, t_ratio: f64) {
-        self.inner.set_drift_t_ratio(t_ratio);
-    }
-
-    /// Crossbar steps taken so far.
-    pub fn steps_taken(&self) -> u64 {
-        self.inner.steps_taken()
-    }
-
-    /// Modeled energy spent so far in joules (see
-    /// [`TacitMapped::energy_j`]).
-    pub fn energy_j(&self) -> f64 {
-        self.inner.energy_j()
-    }
-
-    /// Faulty cells across every occupied crossbar (see
-    /// [`TacitMapped::fault_count`]).
-    pub fn fault_count(&self) -> usize {
-        self.inner.fault_count()
-    }
 }
 
 #[cfg(test)]
@@ -702,6 +560,14 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(21)
+    }
+
+    /// Programs `w` from an RNG seeded at `seed` and hands that RNG back
+    /// for execution, as a serving session owns one layer.
+    fn seeded(w: &BitMatrix, cfg: &XbarConfig, seed: u64) -> (TacitMapped, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mapped = TacitMapped::program(w, cfg, &mut rng).unwrap();
+        (mapped, rng)
     }
 
     fn random_bits(rows: usize, cols: usize, seed: u64) -> BitMatrix {
@@ -871,14 +737,14 @@ mod tests {
         let input = BitVec::from_bools(&(0..48).map(|i| i % 3 != 0).collect::<Vec<_>>());
         let complement = input.complement();
         let run = |seed: u64| {
-            let mut mapped = TacitMapped::program_seeded(&w, &cfg, seed).unwrap();
+            let (mut mapped, mut r) = seeded(&w, &cfg, seed);
             let mut outs = Vec::new();
             for _ in 0..4 {
-                outs.push(mapped.execute(&input).unwrap());
+                outs.push(mapped.execute(&input, &mut r).unwrap());
             }
             outs.push(
                 mapped
-                    .execute_ref_pairs(&[(&input, &complement), (&complement, &input)])
+                    .execute_ref_pairs(&[(&input, &complement), (&complement, &input)], &mut r)
                     .unwrap()
                     .remove(0),
             );
@@ -887,8 +753,7 @@ mod tests {
         // Same seed => identical noisy counts; different seed => diverges.
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
-        let seeded = TacitMapped::program_seeded(&w, &cfg, 7).unwrap();
-        assert_eq!(seeded.inner().fan_in(), 48);
+        assert_eq!(seeded(&w, &cfg, 7).0.fan_in(), 48);
     }
 
     #[test]
@@ -904,12 +769,12 @@ mod tests {
         });
         let w = random_bits(11, 45, 29); // chunked in rows and cols
         let input = BitVec::from_bools(&(0..45).map(|i| i % 3 != 1).collect::<Vec<_>>());
-        let mut fresh = TacitMapped::program_seeded(&w, &cfg, 4).unwrap();
-        let mut drifted = TacitMapped::program_seeded(&w, &cfg, 4).unwrap();
+        let (mut fresh, mut fresh_rng) = seeded(&w, &cfg, 4);
+        let (mut drifted, mut drifted_rng) = seeded(&w, &cfg, 4);
         drifted.set_drift_t_ratio(1e6);
         assert_ne!(
-            fresh.execute(&input).unwrap(),
-            drifted.execute(&input).unwrap()
+            fresh.execute(&input, &mut fresh_rng).unwrap(),
+            drifted.execute(&input, &mut drifted_rng).unwrap()
         );
         // At the paper's binary operating point (1000x on/off ratio) the
         // same drift is benign: counts stay exact despite t/t₀ = 10⁶.
@@ -917,10 +782,10 @@ mod tests {
             drift_nu: 0.3,
             ..DeviceParams::ideal()
         });
-        let mut mapped = TacitMapped::program_seeded(&w, &robust, 4).unwrap();
+        let (mut mapped, mut r) = seeded(&w, &robust, 4);
         mapped.set_drift_t_ratio(1e6);
         assert_eq!(
-            mapped.execute(&input).unwrap(),
+            mapped.execute(&input, &mut r).unwrap(),
             ops::binary_linear_popcounts(&input, &w)
         );
     }
@@ -960,10 +825,12 @@ mod tests {
             ..DeviceParams::ideal()
         });
         let input = BitVec::from_bools(&(0..48).map(|i| i % 3 != 0).collect::<Vec<_>>());
-        let base = TacitMapped::program_seeded(&w, &noisy, 7).unwrap();
-        let mut a = base.replicate(100);
-        let mut b = base.replicate(100);
-        let mut c = base.replicate(101);
+        let (base, _) = seeded(&w, &noisy, 7);
+        // A replica shares the cores and draws from its own RNG.
+        let replica = |seed: u64| (base.replicate(), StdRng::seed_from_u64(seed));
+        let (mut a, mut ra) = replica(100);
+        let (mut b, mut rb) = replica(100);
+        let (mut c, mut rc) = replica(101);
         assert!(base.shares_core_with(&a) && a.shares_core_with(&b) && b.shares_core_with(&c));
         assert_eq!(a.steps_taken(), 0, "replica telemetry starts fresh");
         assert_eq!(
@@ -972,17 +839,23 @@ mod tests {
             "programming energy stays on the original"
         );
         // Same replica seed => identical noisy stream; different => not.
-        let out_a: Vec<_> = (0..3).map(|_| a.execute(&input).unwrap()).collect();
-        let out_b: Vec<_> = (0..3).map(|_| b.execute(&input).unwrap()).collect();
-        let out_c: Vec<_> = (0..3).map(|_| c.execute(&input).unwrap()).collect();
+        let out_a: Vec<_> = (0..3)
+            .map(|_| a.execute(&input, &mut ra).unwrap())
+            .collect();
+        let out_b: Vec<_> = (0..3)
+            .map(|_| b.execute(&input, &mut rb).unwrap())
+            .collect();
+        let out_c: Vec<_> = (0..3)
+            .map(|_| c.execute(&input, &mut rc).unwrap())
+            .collect();
         assert_eq!(out_a, out_b);
         assert_ne!(out_a, out_c);
         // In the ideal profile a replica reads the very same programmed
         // bits: outputs equal the software reference, like the original.
-        let ideal = TacitMapped::program_seeded(&w, &XbarConfig::new(64, 16), 7).unwrap();
-        let mut rep = ideal.replicate(42);
+        let (ideal, _) = seeded(&w, &XbarConfig::new(64, 16), 7);
+        let mut rep = ideal.replicate();
         assert_eq!(
-            rep.execute(&input).unwrap(),
+            rep.execute(&input, &mut StdRng::seed_from_u64(42)).unwrap(),
             ops::binary_linear_popcounts(&input, &w)
         );
         // Shared cores dominate the footprint; rinds stay small.
@@ -1040,10 +913,13 @@ mod tests {
         let plain = XbarConfig::new(32, 8);
         let faulted = plain.clone().with_fault(FaultConfig::none().with_seed(99));
         let input = BitVec::from_bools(&(0..50).map(|i| i % 3 != 1).collect::<Vec<_>>());
-        let mut a = TacitMapped::program_seeded(&w, &plain, 5).unwrap();
-        let mut b = TacitMapped::program_seeded(&w, &faulted, 5).unwrap();
-        assert_eq!(a.execute(&input).unwrap(), b.execute(&input).unwrap());
-        assert_eq!(b.inner().fault_count(), 0);
+        let (mut a, mut ra) = seeded(&w, &plain, 5);
+        let (mut b, mut rb) = seeded(&w, &faulted, 5);
+        assert_eq!(
+            a.execute(&input, &mut ra).unwrap(),
+            b.execute(&input, &mut rb).unwrap()
+        );
+        assert_eq!(b.fault_count(), 0);
     }
 
     #[test]
@@ -1053,8 +929,8 @@ mod tests {
         let cfg = XbarConfig::new(32, 8).with_fault(FaultConfig::dead_cells(0.4, 7));
         let input = BitVec::from_bools(&(0..50).map(|i| i % 3 != 1).collect::<Vec<_>>());
         let run = |seed: u64| {
-            let mut m = TacitMapped::program_seeded(&w, &cfg, seed).unwrap();
-            (m.execute(&input).unwrap(), m.inner().fault_count())
+            let (mut m, mut r) = seeded(&w, &cfg, seed);
+            (m.execute(&input, &mut r).unwrap(), m.fault_count())
         };
         let (counts, faults) = run(5);
         assert!(faults > 0, "40% dead cells must hit some of 32×8×15 chunks");
@@ -1067,8 +943,8 @@ mod tests {
         assert_eq!(run(5), run(5));
         // A different fault seed moves different cells.
         let other = XbarConfig::new(32, 8).with_fault(FaultConfig::dead_cells(0.4, 8));
-        let mut m = TacitMapped::program_seeded(&w, &other, 5).unwrap();
-        assert_ne!(m.execute(&input).unwrap(), counts);
+        let (mut m, mut r) = seeded(&w, &other, 5);
+        assert_ne!(m.execute(&input, &mut r).unwrap(), counts);
     }
 
     #[test]
@@ -1079,9 +955,8 @@ mod tests {
         // derived seeds make that vanishingly unlikely.
         let w = random_bits(10, 100, 9);
         let cfg = XbarConfig::new(64, 16).with_fault(FaultConfig::dead_cells(0.1, 42));
-        let mapped = TacitMapped::program_seeded(&w, &cfg, 1).unwrap();
+        let (mapped, _) = seeded(&w, &cfg, 1);
         let maps: Vec<Vec<(usize, usize)>> = mapped
-            .inner()
             .engines
             .iter()
             .flatten()

@@ -4,6 +4,14 @@
 //! and the simulator backend, which serves the vcores the `eb-core`
 //! compiler programmed through this same [`AnalogSession`].
 //!
+//! Every backend holds a programmed matrix layer as the compiler's
+//! [`MappedVcore`] plus the execution RNG and WDM-lane counter its
+//! session keeps ([`MappedMat`]); the electronic-vs-optical dispatch is
+//! written once, on `MappedVcore`. The ePCM and photonic backends differ
+//! only in how they program a layer and which crossbar geometry a
+//! restored artifact must match: restore ([`serve_programmed`]) and
+//! export share one body.
+//!
 //! Binary layers drive `(x, x̄)` and read every XNOR popcount in one
 //! activation; fixed-point first layers run bit-serially over the
 //! offset-unsigned planes of `x' = q + 127`, with the per-output (or
@@ -18,10 +26,10 @@ use crate::error::EbError;
 use crate::session::{
     mint_replicas, Backend, NoiseProfile, Session, SessionMemory, SessionOpts, SessionStats,
 };
-use eb_artifact::{PhotonicMat, Prepared, PreparedBackend, PreparedState};
+use eb_artifact::{Prepared, PreparedBackend, PreparedMat, PreparedState};
 use eb_bitnn::{conv_output_dims, BitMatrix, BitTensor, BitVec, Bnn, Layer, Shape, Tensor};
-use eb_core::{OpticalTacitMapped, SimStats};
-use eb_mapping::{SeededTacitMapped, TacitMapped};
+use eb_core::{MappedVcore, OpticalTacitMapped, SimStats};
+use eb_mapping::TacitMapped;
 use eb_photonics::{Receiver, PAPER_WDM_CAPACITY};
 use eb_xbar::{DeviceParams, FaultConfig, XbarConfig};
 use rand::rngs::StdRng;
@@ -33,9 +41,10 @@ use std::time::Instant;
 /// (`eb-mapping` → `eb-xbar` analog VMM).
 ///
 /// Each matrix layer is programmed onto its own chunked crossbar set at
-/// `prepare` time through [`TacitMapped::program_seeded`], so the session
-/// owns every RNG involved: same `(network, config, seed)` ⇒ identical
-/// outputs, noisy devices included.
+/// `prepare` time from an RNG seeded per layer, and the session keeps
+/// that RNG for the layer's read and ADC noise, so it owns every RNG
+/// involved: same `(network, config, seed)` ⇒ identical outputs, noisy
+/// devices included.
 #[derive(Debug, Clone)]
 pub struct EpcmBackend {
     cfg: XbarConfig,
@@ -76,50 +85,17 @@ impl EpcmBackend {
             None => cfg.fault,
         };
         let session = AnalogSession::build(net, |weights, layer| {
-            let seed = layer_seed(opts.noise.seed, layer);
+            let mut rng = StdRng::seed_from_u64(layer_seed(opts.noise.seed, layer));
             let mut layer_cfg = cfg.clone();
             // Every layer gets its own fault-map seed: physically distinct
             // crossbars must not share a defect pattern.
             layer_cfg.fault = fault.map(|f| f.with_seed(layer_seed(f.seed, layer)));
-            let mut mapped = TacitMapped::program_seeded(weights, &layer_cfg, seed)?;
+            let mut mapped = TacitMapped::program(weights, &layer_cfg, &mut rng)?;
             if let Some(t_ratio) = drift {
                 mapped.set_drift_t_ratio(t_ratio);
             }
-            Ok(MappedMat::Epcm(mapped))
+            Ok(MappedMat::new(MappedVcore::Electronic(mapped), rng))
         })?;
-        Ok(session.named("epcm"))
-    }
-
-    /// Validates and rebuilds an ePCM session from a prepared-state
-    /// snapshot — the restore branch of [`Backend::prepare_replicas`].
-    fn restore_session(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        prepared: Prepared,
-    ) -> Result<AnalogSession, EbError> {
-        let _ = opts; // meta↔opts agreement is validated by the caller.
-        let PreparedState::Epcm(mats) = prepared.state else {
-            return Err(EbError::Config(format!(
-                "artifact prepared state holds {} substrate state, which the epcm backend \
-                 cannot restore",
-                prepared.state.backend().name()
-            )));
-        };
-        let mut mats = mats.into_iter();
-        let session = AnalogSession::build(net, |weights, layer| {
-            let mapped = restored_mat(&mut mats, weights, layer, "epcm")?;
-            let cfg = mapped.inner().config();
-            if (cfg.rows, cfg.cols) != (self.cfg.rows, self.cfg.cols) {
-                return Err(EbError::Config(format!(
-                    "artifact prepared state was programmed on {}×{} crossbars but this epcm \
-                     backend is configured for {}×{}",
-                    cfg.rows, cfg.cols, self.cfg.rows, self.cfg.cols
-                )));
-            }
-            Ok(MappedMat::Epcm(mapped))
-        })?;
-        reject_leftover_state(mats.len())?;
         Ok(session.named("epcm"))
     }
 }
@@ -137,7 +113,12 @@ impl Backend for EpcmBackend {
         restore: Option<Prepared>,
     ) -> Result<Vec<Box<dyn Session>>, EbError> {
         let base = match restore {
-            Some(prepared) => self.restore_session(net, opts, prepared)?,
+            Some(prepared) => restore_session(
+                net,
+                prepared,
+                PreparedBackend::Epcm,
+                ((self.cfg.rows, self.cfg.cols), None),
+            )?,
             None => self.program_session(net, opts)?,
         };
         Ok(mint_replicas(
@@ -150,78 +131,105 @@ impl Backend for EpcmBackend {
 
     fn export_prepared(&self, net: &Bnn, opts: &SessionOpts) -> Result<Option<Prepared>, EbError> {
         let session = self.program_session(net, opts)?;
-        let mats = session
-            .mats
-            .into_iter()
-            .map(|m| match m {
-                MappedMat::Epcm(seeded) => Ok(seeded),
-                MappedMat::Photonic { .. } => Err(EbError::Config(
-                    "internal error: photonic state inside an epcm session".into(),
-                )),
-            })
-            .collect::<Result<Vec<_>, EbError>>()?;
-        Ok(Some(Prepared {
-            meta: captured_meta(PreparedBackend::Epcm, &opts.noise),
-            state: PreparedState::Epcm(mats),
-        }))
+        Ok(Some(export_session(session, opts, PreparedState::Epcm)))
     }
 }
 
-/// Pops the next restored matrix for `layer`, rejecting a snapshot with
-/// fewer programmed layers than the network or per-layer dimensions that
-/// do not match the layer's weights.
-pub(crate) fn restored_mat<M: RestoredDims>(
-    mats: &mut impl Iterator<Item = M>,
-    weights: &BitMatrix,
-    layer: usize,
-    substrate: &str,
-) -> Result<M, EbError> {
-    let mapped = mats.next().ok_or_else(|| {
-        EbError::Config(format!(
-            "artifact prepared state ran out of programmed matrices at layer {layer}; \
-             it was captured for a different network"
-        ))
+/// Rebuilds an ePCM or photonic session from a prepared-state snapshot —
+/// the restore branch of both backends' [`Backend::prepare_replicas`].
+/// Every layer must have been programmed for the backend's `configured`
+/// crossbar shape and (photonic) WDM capacity.
+fn restore_session(
+    net: &Bnn,
+    prepared: Prepared,
+    backend: PreparedBackend,
+    configured: ((usize, usize), Option<usize>),
+) -> Result<AnalogSession, EbError> {
+    let mats = match (prepared.state, backend) {
+        (PreparedState::Epcm(mats), PreparedBackend::Epcm)
+        | (PreparedState::Photonic(mats), PreparedBackend::Photonic) => mats,
+        (state, _) => {
+            return Err(EbError::Config(format!(
+                "artifact prepared state holds {} substrate state, which the {} backend \
+                 cannot restore",
+                state.backend().name(),
+                backend.name()
+            )))
+        }
+    };
+    let substrate = |((rows, cols), k): ((usize, usize), Option<usize>)| match k {
+        None => format!("{rows}×{cols} crossbars"),
+        Some(k) => format!("{rows}×{cols} optical crossbars at K = {k}"),
+    };
+    let mats = mats.into_iter().map(MappedMat::from);
+    serve_programmed(net, backend.name(), mats, |vcore| {
+        let programmed = (vcore.xbar_shape(), vcore.wdm_capacity());
+        if programmed != configured {
+            return Err(EbError::Config(format!(
+                "artifact prepared state was programmed on {} but this {} backend is \
+                 configured for {}",
+                substrate(programmed),
+                backend.name(),
+                substrate(configured)
+            )));
+        }
+        Ok(())
+    })
+}
+
+/// Captures a freshly programmed session's layers as the prepared state
+/// `state` builds — the export body of both analog backends.
+fn export_session(
+    session: AnalogSession,
+    opts: &SessionOpts,
+    state: fn(Vec<PreparedMat>) -> PreparedState,
+) -> Prepared {
+    let state = state(session.mats.into_iter().map(PreparedMat::from).collect());
+    Prepared {
+        meta: captured_meta(state.backend(), &opts.noise),
+        state,
+    }
+}
+
+/// Serves matrix layers that are already programmed, one per matrix layer
+/// of `net` in network order. Rejects layers that do not fit the network
+/// — too few, too many, or programmed for other weight dimensions — and
+/// any layer `check` refuses.
+pub(crate) fn serve_programmed(
+    net: &Bnn,
+    name: &'static str,
+    mats: impl IntoIterator<Item = MappedMat>,
+    check: impl Fn(&MappedVcore) -> Result<(), EbError>,
+) -> Result<AnalogSession, EbError> {
+    let mut mats = mats.into_iter();
+    let session = AnalogSession::build(net, |weights, layer| {
+        let mat = mats.next().ok_or_else(|| {
+            EbError::Config(format!(
+                "artifact prepared state ran out of programmed matrices at layer {layer}; \
+                 it was captured for a different network"
+            ))
+        })?;
+        let (fan_in, outs) = (mat.vcore.fan_in(), mat.vcore.out_vectors());
+        if fan_in != weights.cols() || outs != weights.rows() {
+            return Err(EbError::Config(format!(
+                "artifact prepared state layer {layer} is programmed for a {outs}×{fan_in} \
+                 weight matrix but the network's layer is {}×{} on the {name} substrate; it \
+                 was captured for a different network",
+                weights.rows(),
+                weights.cols()
+            )));
+        }
+        check(&mat.vcore)?;
+        Ok(mat)
     })?;
-    let (fan_in, outs) = mapped.dims();
-    if fan_in != weights.cols() || outs != weights.rows() {
-        return Err(EbError::Config(format!(
-            "artifact prepared state layer {layer} is programmed for a {outs}×{fan_in} weight \
-             matrix but the network's layer is {}×{} on the {substrate} substrate; it was \
-             captured for a different network",
-            weights.rows(),
-            weights.cols()
-        )));
-    }
-    Ok(mapped)
-}
-
-/// A restored snapshot must be consumed exactly: trailing matrices mean
-/// the artifact was captured for a different (deeper) network.
-pub(crate) fn reject_leftover_state(leftover: usize) -> Result<(), EbError> {
+    let leftover = mats.count();
     if leftover != 0 {
         return Err(EbError::Config(format!(
             "artifact prepared state has {leftover} more programmed matrices than this network \
              has matrix layers; it was captured for a different network"
         )));
     }
-    Ok(())
-}
-
-/// The `(fan_in, out_vectors)` a restored matrix was programmed for.
-pub(crate) trait RestoredDims {
-    fn dims(&self) -> (usize, usize);
-}
-
-impl RestoredDims for SeededTacitMapped {
-    fn dims(&self) -> (usize, usize) {
-        (self.inner().fan_in(), self.inner().out_vectors())
-    }
-}
-
-impl RestoredDims for PhotonicMat {
-    fn dims(&self) -> (usize, usize) {
-        (self.mapped.fan_in(), self.mapped.out_vectors())
-    }
+    Ok(session.named(name))
 }
 
 /// Checks that a requested drift configuration is one the effective device
@@ -352,54 +360,8 @@ impl PhotonicBackend {
             if opts.noise.profile == NoiseProfile::Noisy {
                 mapped.set_receiver(Receiver::noisy());
             }
-            Ok(MappedMat::Photonic {
-                mapped,
-                rng,
-                lanes: 0,
-            })
+            Ok(MappedMat::new(MappedVcore::Optical(mapped), rng))
         })?;
-        Ok(session.named("photonic"))
-    }
-
-    /// Validates and rebuilds a photonic session from a prepared-state
-    /// snapshot — the restore branch of [`Backend::prepare_replicas`].
-    fn restore_session(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        prepared: Prepared,
-    ) -> Result<AnalogSession, EbError> {
-        // Meta↔opts agreement is validated by the caller; the substrate
-        // capability checks still apply to crafted artifacts.
-        self.validate_opts(opts)?;
-        let PreparedState::Photonic(mats) = prepared.state else {
-            return Err(EbError::Config(format!(
-                "artifact prepared state holds {} substrate state, which the photonic backend \
-                 cannot restore",
-                prepared.state.backend().name()
-            )));
-        };
-        let mut mats = mats.into_iter();
-        let session = AnalogSession::build(net, |weights, layer| {
-            let snap = restored_mat(&mut mats, weights, layer, "photonic")?;
-            let (rows, cols) = snap.mapped.xbar_shape();
-            if (rows, cols, snap.mapped.capacity()) != (self.rows, self.cols, self.capacity) {
-                return Err(EbError::Config(format!(
-                    "artifact prepared state was programmed on {rows}×{cols} optical crossbars \
-                     at K = {} but this photonic backend is configured for {}×{} at K = {}",
-                    snap.mapped.capacity(),
-                    self.rows,
-                    self.cols,
-                    self.capacity
-                )));
-            }
-            Ok(MappedMat::Photonic {
-                mapped: snap.mapped,
-                rng: StdRng::from_state(snap.rng_state),
-                lanes: snap.lanes,
-            })
-        })?;
-        reject_leftover_state(mats.len())?;
         Ok(session.named("photonic"))
     }
 }
@@ -417,7 +379,18 @@ impl Backend for PhotonicBackend {
         restore: Option<Prepared>,
     ) -> Result<Vec<Box<dyn Session>>, EbError> {
         let base = match restore {
-            Some(prepared) => self.restore_session(net, opts, prepared)?,
+            Some(prepared) => {
+                // Meta↔opts agreement is validated by the caller; the
+                // substrate capability checks still apply to crafted
+                // artifacts.
+                self.validate_opts(opts)?;
+                restore_session(
+                    net,
+                    prepared,
+                    PreparedBackend::Photonic,
+                    ((self.rows, self.cols), Some(self.capacity)),
+                )?
+            }
             None => self.program_session(net, opts)?,
         };
         Ok(mint_replicas(
@@ -430,24 +403,7 @@ impl Backend for PhotonicBackend {
 
     fn export_prepared(&self, net: &Bnn, opts: &SessionOpts) -> Result<Option<Prepared>, EbError> {
         let session = self.program_session(net, opts)?;
-        let mats = session
-            .mats
-            .into_iter()
-            .map(|m| match m {
-                MappedMat::Photonic { mapped, rng, lanes } => Ok(PhotonicMat {
-                    mapped,
-                    rng_state: rng.state(),
-                    lanes,
-                }),
-                MappedMat::Epcm(_) => Err(EbError::Config(
-                    "internal error: electronic state inside a photonic session".into(),
-                )),
-            })
-            .collect::<Result<Vec<_>, EbError>>()?;
-        Ok(Some(Prepared {
-            meta: captured_meta(PreparedBackend::Photonic, &opts.noise),
-            state: PreparedState::Photonic(mats),
-        }))
+        Ok(Some(export_session(session, opts, PreparedState::Photonic)))
     }
 }
 
@@ -457,103 +413,65 @@ fn layer_seed(base: u64, layer: usize) -> u64 {
     base ^ (layer as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// One matrix layer programmed onto a substrate.
+/// One matrix layer programmed onto a substrate, with the execution RNG
+/// and WDM-lane counter its session keeps for it.
 #[derive(Debug, Clone)]
-pub(crate) enum MappedMat {
-    /// Electronic TacitMap crossbars owning their seeded RNG.
-    Epcm(SeededTacitMapped),
-    /// Optical TacitMap crossbars + the RNG for receiver/device draws.
-    Photonic {
-        mapped: OpticalTacitMapped,
-        rng: StdRng,
-        lanes: u64,
-    },
+pub(crate) struct MappedMat {
+    vcore: MappedVcore,
+    rng: StdRng,
+    /// WDM lanes carried so far (0 on electronic crossbars).
+    lanes: u64,
 }
 
 impl MappedMat {
+    /// A layer that has carried no lanes yet, drawing its noise from `rng`.
+    pub(crate) fn new(vcore: MappedVcore, rng: StdRng) -> Self {
+        Self {
+            vcore,
+            rng,
+            lanes: 0,
+        }
+    }
+
     /// Executes a batch of borrowed `(pos, neg)` half-drive pairs, one
-    /// result row per pair. Electronic layers amortize the batch through
-    /// the VMM engines' snapshot path; optical layers pack pairs into WDM
-    /// lanes, the transmitter's `K` per MMM step.
+    /// result row per pair (see [`MappedVcore::activate_pairs`]).
     fn activate_pairs(&mut self, pairs: &[(&BitVec, &BitVec)]) -> Result<Vec<Vec<u32>>, EbError> {
-        match self {
-            Self::Epcm(m) => Ok(m.execute_ref_pairs(pairs)?),
-            Self::Photonic { mapped, rng, lanes } => {
-                let capacity = mapped.capacity();
-                let mut out = Vec::with_capacity(pairs.len());
-                for chunk in pairs.chunks(capacity) {
-                    out.extend(mapped.execute_wdm_ref(chunk, rng)?);
-                    *lanes += chunk.len() as u64;
-                }
-                Ok(out)
-            }
+        let counts = self.vcore.activate_pairs(pairs, &mut self.rng)?;
+        if self.vcore.wdm_capacity().is_some() {
+            self.lanes += pairs.len() as u64;
         }
-    }
-
-    /// Crossbar steps taken so far.
-    fn steps_taken(&self) -> u64 {
-        match self {
-            Self::Epcm(m) => m.steps_taken(),
-            Self::Photonic { mapped, .. } => mapped.steps_taken(),
-        }
-    }
-
-    /// WDM lanes carried so far (0 on the electronic substrate).
-    fn wdm_lanes(&self) -> u64 {
-        match self {
-            Self::Epcm(_) => 0,
-            Self::Photonic { lanes, .. } => *lanes,
-        }
-    }
-
-    /// Modeled energy spent so far in joules ([`eb_xbar::XbarEnergies`]
-    /// programming + VMM charges on the electronic substrate; the
-    /// photonic substrate has no energy model here and reports 0).
-    fn energy_j(&self) -> f64 {
-        match self {
-            Self::Epcm(m) => m.energy_j(),
-            Self::Photonic { .. } => 0.0,
-        }
-    }
-
-    /// Faulty cells across the layer's crossbars (0 on substrates
-    /// without an electronic fault model).
-    fn fault_count(&self) -> usize {
-        match self {
-            Self::Epcm(m) => m.fault_count(),
-            Self::Photonic { .. } => 0,
-        }
+        Ok(counts)
     }
 
     /// A replica sharing this layer's programmed crossbar core, with a
     /// fresh execution RNG at `seed` (the caller passes the replica's
     /// [`layer_seed`] derivation) and zeroed telemetry.
     fn replicate(&self, seed: u64) -> Self {
-        match self {
-            Self::Epcm(m) => Self::Epcm(m.replicate(seed)),
-            Self::Photonic { mapped, .. } => Self::Photonic {
-                mapped: mapped.replicate(),
-                rng: StdRng::seed_from_u64(seed),
-                lanes: 0,
-            },
-        }
-    }
-
-    /// Approximate bytes of the `Arc`-shared programmed core.
-    fn core_bytes(&self) -> usize {
-        match self {
-            Self::Epcm(m) => m.core_bytes(),
-            Self::Photonic { mapped, .. } => mapped.core_bytes(),
-        }
+        Self::new(self.vcore.replicate(), StdRng::seed_from_u64(seed))
     }
 
     /// Approximate bytes private to this replica's copy of the layer.
     fn rind_bytes(&self) -> usize {
-        match self {
-            Self::Epcm(m) => m.rind_bytes(),
-            Self::Photonic { mapped, .. } => {
-                mapped.rind_bytes() + std::mem::size_of::<StdRng>() + std::mem::size_of::<u64>()
-            }
+        self.vcore.rind_bytes() + std::mem::size_of::<StdRng>() + std::mem::size_of::<u64>()
+    }
+}
+
+impl From<PreparedMat> for MappedMat {
+    fn from(mat: PreparedMat) -> Self {
+        Self {
+            vcore: mat.vcore,
+            rng: StdRng::from_state(mat.rng_state),
+            lanes: mat.lanes,
+        }
+    }
+}
+
+impl From<MappedMat> for PreparedMat {
+    fn from(mat: MappedMat) -> Self {
+        Self {
+            vcore: mat.vcore,
+            rng_state: mat.rng.state(),
+            lanes: mat.lanes,
         }
     }
 }
@@ -959,11 +877,15 @@ impl Session for AnalogSession {
     fn stats(&self) -> SessionStats {
         let mut stats = SessionStats {
             inferences: self.inferences,
-            crossbar_steps: self.mats.iter().map(MappedMat::steps_taken).sum(),
-            wdm_lanes: self.mats.iter().map(MappedMat::wdm_lanes).sum(),
+            crossbar_steps: self.mats.iter().map(|m| m.vcore.steps_taken()).sum(),
+            wdm_lanes: self.mats.iter().map(|m| m.lanes).sum(),
             latency_ns: self.latency_ns,
-            energy_j: self.mats.iter().map(MappedMat::energy_j).sum(),
-            fault_cells: self.mats.iter().map(MappedMat::fault_count).sum::<usize>() as u64,
+            energy_j: self.mats.iter().map(|m| m.vcore.energy_j()).sum(),
+            fault_cells: self
+                .mats
+                .iter()
+                .map(|m| m.vcore.fault_count())
+                .sum::<usize>() as u64,
         };
         if let Some(ledger) = &self.ledger {
             // The modeled batch-1 accelerator: every inference costs what
@@ -988,7 +910,11 @@ impl Session for AnalogSession {
             .sum();
         let plan_bytes: usize = self.plan.iter().map(LayerExec::bytes).sum();
         SessionMemory {
-            core_bytes: self.mats.iter().map(MappedMat::core_bytes).sum::<usize>() as u64
+            core_bytes: self
+                .mats
+                .iter()
+                .map(|m| m.vcore.core_bytes())
+                .sum::<usize>() as u64
                 + weight_bits / 8
                 + plan_bytes as u64,
             replica_bytes: self.mats.iter().map(MappedMat::rind_bytes).sum::<usize>() as u64
@@ -1472,7 +1398,7 @@ mod tests {
         let session = EpcmBackend::default()
             .program_session(&net, &SessionOpts::default())
             .unwrap();
-        let crossbars: usize = session.mats.iter().map(MappedMat::core_bytes).sum();
+        let crossbars: usize = session.mats.iter().map(|m| m.vcore.core_bytes()).sum();
         let offsets = 16 * 16 * 8 * std::mem::size_of::<i64>();
         assert!(session.memory().core_bytes >= (crossbars + offsets) as u64);
     }

@@ -1,17 +1,16 @@
 //! The accelerator-simulator backend: compiles a [`Design`] once, serves
-//! the compiled vcores through the batched crossbar lowering
-//! ([`AnalogSession`]), and charges each inference the design's modeled
-//! latency/energy from one dry run of the compiled program on a
-//! [`Machine`].
+//! the compiled vcores unchanged through the batched crossbar lowering
+//! ([`AnalogSession`]) with one execution RNG per layer, and charges each
+//! inference the design's modeled latency/energy from one dry run of the
+//! compiled program on a [`Machine`].
 
-use crate::analog::{reject_leftover_state, restored_mat, AnalogSession, MappedMat, RestoredDims};
+use crate::analog::{serve_programmed, AnalogSession, MappedMat};
 use crate::artifacts::captured_meta;
 use crate::error::EbError;
 use crate::session::{mint_replicas, Backend, NoiseProfile, Session, SessionOpts};
 use eb_artifact::{DesignFingerprint, Prepared, PreparedBackend, PreparedState};
 use eb_bitnn::{Bnn, Tensor};
 use eb_core::{compile, recompile, CompiledNetwork, Design, Machine, MappedVcore, SimStats};
-use eb_mapping::SeededTacitMapped;
 use eb_photonics::Receiver;
 use eb_xbar::DeviceParams;
 use rand::rngs::StdRng;
@@ -141,27 +140,13 @@ impl SimulatorBackend {
         mut rng: StdRng,
     ) -> Result<AnalogSession, EbError> {
         let ledger = self.ledger(&compiled)?;
-        let mut vcores = compiled.vcores.into_iter();
-        let session = AnalogSession::build(net, |weights, layer| {
-            let vcore = restored_mat(&mut vcores, weights, layer, "simulator")?;
-            let layer_rng = StdRng::seed_from_u64(rng.gen());
-            match vcore {
-                MappedVcore::Electronic(m) => Ok(MappedMat::Epcm(SeededTacitMapped::from_parts(
-                    m,
-                    layer_rng.state(),
-                ))),
-                MappedVcore::Optical(mapped) => Ok(MappedMat::Photonic {
-                    mapped,
-                    rng: layer_rng,
-                    lanes: 0,
-                }),
-                _ => Err(EbError::Config(format!(
-                    "layer {layer} is compiled onto a vcore the simulator backend cannot serve"
-                ))),
-            }
-        })?;
-        reject_leftover_state(vcores.len())?;
-        Ok(session.named("simulator").charged(ledger))
+        let mats = compiled
+            .vcores
+            .into_iter()
+            .map(|vcore| MappedMat::new(vcore, StdRng::seed_from_u64(rng.gen())));
+        // `recompile` already fitted restored vcores to the design.
+        let session = serve_programmed(net, "simulator", mats, |_| Ok(()))?;
+        Ok(session.charged(ledger))
     }
 
     /// The modeled cost of one inference: the statistics of one run of
@@ -173,18 +158,6 @@ impl SimulatorBackend {
             Machine::new(compiled.replicate(), &self.design, StdRng::seed_from_u64(0));
         machine.run(&Tensor::zeros(&[compiled.input_shape.len()]))?;
         Ok(machine.stats().clone())
-    }
-}
-
-impl RestoredDims for MappedVcore {
-    fn dims(&self) -> (usize, usize) {
-        let fan_in = match self {
-            Self::Electronic(m) => m.fan_in(),
-            Self::Optical(m) => m.fan_in(),
-            // A substrate this runtime does not know fits no layer.
-            _ => 0,
-        };
-        (fan_in, self.out_vectors())
     }
 }
 

@@ -12,7 +12,7 @@ use einstein_barrier::bitnn::{
     BinConv, BinLinear, Bnn, Dataset, DatasetKind, FixedConv, FixedLinear, Layer, MlpTrainer,
     OutputLinear, Shape, Tensor, TrainConfig,
 };
-use einstein_barrier::core::{compile, Design, Machine};
+use einstein_barrier::core::{compile, Design, DesignKind, Machine};
 use einstein_barrier::{BackendKind, NoiseConfig, NoiseProfile, Runtime, SimulatorBackend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -300,6 +300,13 @@ fn simulator_serves_machine_outputs_and_charges_its_stats() {
             assert_eq!(stats.inferences, served.len() as u64, "{what}");
             assert_eq!(stats.crossbar_steps, oracle.crossbar_steps, "{what}: steps");
             assert_eq!(stats.wdm_lanes, oracle.wdm_lanes, "{what}: lanes");
+            // Only the optical design carries WDM lanes, as on the ePCM
+            // and photonic backends.
+            if design.kind == DesignKind::EinsteinBarrier {
+                assert!(stats.wdm_lanes > 0, "{what}: lanes");
+            } else {
+                assert_eq!(stats.wdm_lanes, 0, "{what}: lanes");
+            }
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs();
             assert!(
                 close(stats.latency_ns, oracle.latency_ns),
