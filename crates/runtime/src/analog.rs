@@ -9,8 +9,8 @@
 //! session keeps ([`MappedMat`]); the electronic-vs-optical dispatch is
 //! written once, on `MappedVcore`. The ePCM and photonic backends differ
 //! only in how they program a layer and which crossbar geometry a
-//! restored artifact must match: restore ([`serve_programmed`]) and
-//! export share one body.
+//! restored artifact must match: restore (`restore_session`) and export
+//! (`export_session`) share one body each.
 //!
 //! Binary layers drive `(x, x̄)` and read every XNOR popcount in one
 //! activation; fixed-point first layers run bit-serially over the
@@ -161,9 +161,8 @@ fn restore_session(
         None => format!("{rows}×{cols} crossbars"),
         Some(k) => format!("{rows}×{cols} optical crossbars at K = {k}"),
     };
-    let mats = mats.into_iter().map(MappedMat::from);
-    serve_programmed(net, backend.name(), mats, |vcore| {
-        let programmed = (vcore.xbar_shape(), vcore.wdm_capacity());
+    for mat in &mats {
+        let programmed = (mat.vcore.xbar_shape(), mat.vcore.wdm_capacity());
         if programmed != configured {
             return Err(EbError::Config(format!(
                 "artifact prepared state was programmed on {} but this {} backend is \
@@ -173,8 +172,8 @@ fn restore_session(
                 substrate(configured)
             )));
         }
-        Ok(())
-    })
+    }
+    serve_programmed(net, backend.name(), mats.into_iter().map(MappedMat::from))
 }
 
 /// Captures a freshly programmed session's layers as the prepared state
@@ -192,14 +191,12 @@ fn export_session(
 }
 
 /// Serves matrix layers that are already programmed, one per matrix layer
-/// of `net` in network order. Rejects layers that do not fit the network
-/// — too few, too many, or programmed for other weight dimensions — and
-/// any layer `check` refuses.
+/// of `net` in network order. Rejects layers that do not fit the network:
+/// too few, too many, or programmed for other weight dimensions.
 pub(crate) fn serve_programmed(
     net: &Bnn,
     name: &'static str,
     mats: impl IntoIterator<Item = MappedMat>,
-    check: impl Fn(&MappedVcore) -> Result<(), EbError>,
 ) -> Result<AnalogSession, EbError> {
     let mut mats = mats.into_iter();
     let session = AnalogSession::build(net, |weights, layer| {
@@ -219,7 +216,6 @@ pub(crate) fn serve_programmed(
                 weights.cols()
             )));
         }
-        check(&mat.vcore)?;
         Ok(mat)
     })?;
     let leftover = mats.count();

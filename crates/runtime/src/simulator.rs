@@ -144,9 +144,7 @@ impl SimulatorBackend {
             .vcores
             .into_iter()
             .map(|vcore| MappedMat::new(vcore, StdRng::seed_from_u64(rng.gen())));
-        // `recompile` already fitted restored vcores to the design.
-        let session = serve_programmed(net, "simulator", mats, |_| Ok(()))?;
-        Ok(session.charged(ledger))
+        Ok(serve_programmed(net, "simulator", mats)?.charged(ledger))
     }
 
     /// The modeled cost of one inference: the statistics of one run of
