@@ -13,7 +13,7 @@
 //!     --addr 127.0.0.1:8080 --model demo --qps 200 --duration-s 10 --json
 //! ```
 
-use eb_bench::LatencyHistogram;
+use eb_telemetry::LatencyHistogram;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::process::ExitCode;

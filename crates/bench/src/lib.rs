@@ -13,13 +13,11 @@
 //! | `dse_wdm`         | §VI-C — design-space exploration over K and array size (extension) |
 //! | `multilevel_noise`| §II-C/§VI-C — binary vs multi-level oPCM robustness (extension) |
 //!
-//! Criterion benches (`cargo bench -p eb-bench`) measure the wall-clock
-//! cost of the simulator itself on the same workloads.
-
-// The log-bucketed histogram the tail-latency harness was built on now
-// lives in eb-telemetry (the serving stack shares it); re-exported so
-// loadgen and the benches keep compiling unchanged.
-pub use eb_telemetry::LatencyHistogram;
+//! `loadgen` is the open-loop HTTP load generator for `eb-serve`. The
+//! `conv_gemm` criterion bench (`cargo bench -p eb-bench --bench
+//! conv_gemm`) times the packed conv/GEMM kernels against their naive
+//! references; served performance is measured by the repository
+//! benchmark, `perfbench/`.
 
 use std::fmt::Display;
 

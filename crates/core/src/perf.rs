@@ -5,7 +5,8 @@
 //! geometry from `eb-mapping::plan`, then composes latency from the
 //! critical path (steps × step time) and energy from the actual work
 //! performed (crossbar activations, conversions, senses, optical power —
-//! unused replicas cost nothing). See DESIGN.md "Performance model".
+//! unused replicas cost nothing). The calibrated outputs are pinned by the
+//! expected-value tables in `tests/figures_regression.rs`.
 
 use crate::configs::{Design, DesignKind};
 use eb_bitnn::{BenchModel, LayerDims};

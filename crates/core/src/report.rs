@@ -299,7 +299,8 @@ mod tests {
             assert!(r.einstein_ratio < r.tacitmap_ratio, "{}", r.network);
             // EinsteinBarrier beats the baseline on every network except
             // the tiny LeNet-class CNN, where Eq. 3's transmitter power
-            // floor dominates (documented in EXPERIMENTS.md).
+            // floor dominates (the CNN-S row of the Fig. 8 table in
+            // tests/figures_regression.rs).
             if r.network != BenchModel::CnnS {
                 assert!(
                     r.einstein_ratio < 1.0,

@@ -1,7 +1,7 @@
 //! Mapping geometry and step plans.
 //!
 //! This module answers, for each mapping, the questions the performance
-//! model needs (DESIGN.md "Performance model"): how many crossbars does a
+//! model (`eb_core::perf`) needs: how many crossbars does a
 //! layer occupy, how far can it be replicated within a chip budget, and
 //! how many crossbar steps does a workload of `v` input vectors take.
 

@@ -1,5 +1,5 @@
 //! A log-bucketed latency histogram (promoted from eb-bench's
-//! tail-latency harness — eb-bench re-exports it unchanged).
+//! tail-latency harness; `loadgen` records into it).
 //!
 //! Values 0..32 are recorded exactly; above that, each power-of-two
 //! octave is split into 32 sub-buckets, so any recorded value is

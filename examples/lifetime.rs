@@ -10,8 +10,10 @@
 //! 2. Build a golden-canary `HealthProbe` from the training set and
 //!    record the healthy baseline agreement.
 //! 3. Sweep dead-cell fault rates through `Server::inject_faults` to map
-//!    the accuracy-vs-fault-rate degradation curve (the BENCH_pr6.json
-//!    curve) — every point a deterministic, replayable fault map.
+//!    the accuracy-vs-fault-rate degradation curve — every point a
+//!    deterministic, replayable fault map
+//!    (`tests/lifetime.rs::agreement_degrades_with_fault_rate_deterministically`
+//!    pins its trend).
 //! 4. Inject a crippling fault profile while 3 client threads stream
 //!    tickets, start the `MaintenanceLoop`, and observe the self-heal:
 //!    the probe trips, the pool is rebuilt on fresh devices through the

@@ -1,7 +1,9 @@
-//! Regression lock on the calibrated figure values recorded in
-//! EXPERIMENTS.md: if a constant change moves any headline number by more
-//! than the stated tolerance, these tests fail and EXPERIMENTS.md must be
-//! re-generated and re-validated against the paper.
+//! Regression lock on the calibrated Fig. 7 / Fig. 8 values of the
+//! analytic model: the `expected` tables below are the record. If a
+//! constant change moves any headline number by more than the stated
+//! tolerance, these tests fail, and the tables must be regenerated
+//! (`cargo run -p eb-bench --release --bin fig7_latency`, `fig8_energy`)
+//! and re-validated against the paper.
 
 use eb_core::report::{run_fig7, run_fig8, DEFAULT_BATCH};
 
@@ -12,7 +14,7 @@ fn within(x: f64, expect: f64, rel_tol: f64) -> bool {
 #[test]
 fn fig7_values_match_experiments_md() {
     let fig = run_fig7(DEFAULT_BATCH);
-    // (network, baseline ms, tacit ×, einstein ×) from EXPERIMENTS.md.
+    // (network, baseline ms, tacit ×, einstein ×) at DEFAULT_BATCH.
     let expected = [
         ("CNN-S", 0.453, 8.7, 265.3),
         ("CNN-M", 27.217, 89.8, 1572.6),

@@ -162,7 +162,7 @@ fn faults_degrade_maintenance_heals_and_no_ticket_is_lost() {
     );
 }
 
-/// The degradation trend the BENCH_pr6 curve records: canary agreement
+/// The degradation trend `examples/lifetime.rs` sweeps: canary agreement
 /// falls monotonically-ish as the dead-cell rate rises, and every rate
 /// replays deterministically.
 #[test]

@@ -1,7 +1,7 @@
-//! DESIGN.md E6/E7 (paper Fig. 7 and Fig. 8): the analytic model must
-//! reproduce the paper's *shape* — who wins, by roughly what factor, and
-//! where the GPU crossover falls. Exact paper-vs-measured numbers are
-//! recorded in EXPERIMENTS.md.
+//! Paper Fig. 7 and Fig. 8: the analytic model must reproduce the
+//! paper's *shape* — who wins, by roughly what factor, and where the GPU
+//! crossover falls. The model's exact values are recorded in the
+//! expected-value tables of `tests/figures_regression.rs`.
 
 use eb_bitnn::BenchModel;
 use eb_core::report::{geomean, run_fig7, run_fig8, DEFAULT_BATCH};
