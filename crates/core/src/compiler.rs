@@ -1009,6 +1009,42 @@ mod tests {
         }
     }
 
+    /// FNV-1a digest of a program's `Debug` form, which prints every
+    /// `Const` value (`Program::disassemble` elides them).
+    fn program_digest(program: &Program) -> u64 {
+        format!("{program:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn emitted_programs_are_pinned() {
+        // The instruction streams — registers, conv geometry and every
+        // offset constant — on TacitMap-ePCM and EinsteinBarrier.
+        let nets = [
+            eb_bitnn::BenchModel::MlpS.build(7).unwrap(),
+            eb_bitnn::BenchModel::CnnS.build(7).unwrap(),
+            padded_cnn(),
+        ];
+        let got: Vec<[u64; 2]> = nets
+            .iter()
+            .map(|net| {
+                [Design::tacitmap_epcm(), Design::einstein_barrier()].map(|design| {
+                    let mut rng = StdRng::seed_from_u64(1);
+                    program_digest(&compile(&design, net, &mut rng).unwrap().program)
+                })
+            })
+            .collect();
+        let expected: Vec<[u64; 2]> = vec![
+            [0xe27f_5c1d_25e5_1133, 0xef4d_a19a_9052_24b6],
+            [0x7100_5941_c045_d2fa, 0x2aee_f0a6_0823_4b86],
+            [0x8597_7e6a_4e18_1b85, 0x1af6_b447_5d41_5637],
+        ];
+        assert_eq!(got, expected, "{got:#x?}");
+    }
+
     #[test]
     fn placements_cover_all_layers() {
         let mut rng = StdRng::seed_from_u64(4);
