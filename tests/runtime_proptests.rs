@@ -4,8 +4,10 @@
 //! backend whose batching path differs from the default loop.
 
 use einstein_barrier::bitnn::{
-    BinConv, BinLinear, Bnn, FixedConv, FixedLinear, Layer, OutputLinear, Shape, Tensor,
+    conv_output_dims, BinConv, BinLinear, Bnn, FixedConv, FixedLinear, Layer, OutputLinear, Shape,
+    Tensor,
 };
+use einstein_barrier::core::{compile, Design, Machine};
 use einstein_barrier::{BackendKind, FaultConfig, Priority, Request, Runtime, Session};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -33,15 +35,26 @@ fn random_mlp(inputs: usize, hidden: usize, classes: usize, seed: u64) -> Bnn {
     .expect("valid mlp")
 }
 
-fn random_cnn(side: usize, ch: usize, classes: usize, seed: u64) -> Bnn {
+/// A fixed-point conv then a binary conv, each at its own stride and pad,
+/// so the crossbar lowering's window geometry and padded-window offsets
+/// are exercised away from the stride-1 case.
+fn random_cnn(
+    side: usize,
+    ch: usize,
+    classes: usize,
+    convs: [(usize, usize); 2],
+    seed: u64,
+) -> Bnn {
     let mut rng = StdRng::seed_from_u64(seed);
-    let out_side = side - 2; // 3×3 valid conv
+    let [(s1, p1), (s2, p2)] = convs;
+    let (mid, _) = conv_output_dims(side, side, 3, s1, p1);
+    let (out_side, _) = conv_output_dims(mid, mid, 3, s2, p2);
     Bnn::new(
         "prop-cnn",
         Shape::Img(1, side, side),
         vec![
-            Layer::FixedConv(FixedConv::random("c1", 1, ch, 3, 1, 0, &mut rng)),
-            Layer::BinConv(BinConv::random("c2", ch, ch, 3, 1, 1, &mut rng)),
+            Layer::FixedConv(FixedConv::random("c1", 1, ch, 3, s1, p1, &mut rng)),
+            Layer::BinConv(BinConv::random("c2", ch, ch, 3, s2, p2, &mut rng)),
             Layer::Flatten,
             Layer::Output(OutputLinear::random(
                 "out",
@@ -270,23 +283,41 @@ proptest! {
     }
 
     /// Same contract on conv topologies, where the analog batch path packs
-    /// all windows of all samples into shared activations.
+    /// all windows of all samples into shared activations. Both convs draw
+    /// stride 1 or 2 and pad 0 or 1, and every backend's batch, and the
+    /// compiled program on a `Machine` for both designs, must also equal
+    /// the software reference.
     #[test]
     fn infer_batch_equals_infer_cnn(
         side in 5usize..9,
         ch in 1usize..4,
         classes in 2usize..5,
         batch in 1usize..4,
+        strides in (1usize..3, 1usize..3),
+        pads in (0usize..2, 0usize..2),
         seed in any::<u64>(),
     ) {
-        let net = random_cnn(side, ch, classes, seed);
+        // The second 3×3 conv must fit its (padded) input.
+        let (mid, _) = conv_output_dims(side, side, 3, strides.0, pads.0);
+        prop_assume!(mid + 2 * pads.1 >= 3);
+        let convs = [(strides.0, pads.0), (strides.1, pads.1)];
+        let net = random_cnn(side, ch, classes, convs, seed);
         let xs = batch_of(net.input_shape(), batch, seed);
+        let reference: Vec<Tensor> = xs.iter().map(|x| net.forward(x).expect("forward")).collect();
         for kind in BackendKind::all() {
             let mut batched = prepare(kind, &net, seed);
             let mut single = prepare(kind, &net, seed);
             let got = batched.infer_batch(&xs).expect("batch");
+            prop_assert_eq!(&got, &reference, "{}", kind);
             for (x, want) in xs.iter().zip(&got) {
                 prop_assert_eq!(&single.infer(x).expect("single"), want, "{}", kind);
+            }
+        }
+        for design in [Design::tacitmap_epcm(), Design::einstein_barrier()] {
+            let compiled = compile(&design, &net, &mut StdRng::seed_from_u64(seed)).expect("compile");
+            let mut machine = Machine::new(compiled, &design, StdRng::seed_from_u64(seed));
+            for (x, want) in xs.iter().zip(&reference) {
+                prop_assert_eq!(&machine.run(x).expect("run"), want, "{}", design.kind.name());
             }
         }
     }
