@@ -7,16 +7,23 @@
 //! threshold tables, convolutions unroll into window extraction +
 //! VMM/MMM + scatter, and the first fixed-point layer lowers to
 //! bit-serial plane drives with shift-add accumulation.
+//!
+//! The compiler emits from the network's [`LayerPlan`], which derives the
+//! per-layer constants (matrix indices, conv geometry, the `127·Σw` offset
+//! tables) once; the runtime's crossbar sessions walk the same plan, and
+//! [`recompile`] and the runtime's restore path share its fit check.
 
 use crate::arch::{ChipLayout, LayerPlacement};
 use crate::configs::{Design, DesignKind};
 use crate::isa::{AluOp, Instruction, MmmLane, Program, RegId, TableId, VcoreId};
+use crate::lowering::{LayerPlan, MatrixStep, Step};
 use crate::optical::{OpticalMapError, OpticalTacitMapped};
-use eb_bitnn::{BitMatrix, BitVec, Bnn, Layer, Shape, ThresholdSpec};
+use eb_bitnn::{BitVec, Bnn, ThresholdSpec};
 use eb_mapping::{MappingError, TacitMapped};
 use rand::Rng;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// A mapped VCore instance: the crossbars hosting one layer's weights.
 ///
@@ -211,8 +218,9 @@ pub struct CompiledNetwork {
     pub wdm_capacity: usize,
     /// Registers used.
     pub register_count: usize,
-    /// Network input shape.
-    pub input_shape: Shape,
+    /// The layer plan the program was lowered from, which a serving
+    /// session walks over the same VCores.
+    pub plan: Arc<LayerPlan>,
 }
 
 impl CompiledNetwork {
@@ -231,7 +239,7 @@ impl CompiledNetwork {
             design: self.design,
             wdm_capacity: self.wdm_capacity,
             register_count: self.register_count,
-            input_shape: self.input_shape,
+            plan: Arc::clone(&self.plan),
         }
     }
 }
@@ -263,18 +271,23 @@ pub fn compile(
     net: &Bnn,
     rng: &mut impl Rng,
 ) -> Result<CompiledNetwork, CompileError> {
-    lower(design, net, |weights| {
-        Ok(match design.kind {
-            DesignKind::EinsteinBarrier => MappedVcore::Optical(OpticalTacitMapped::program(
-                weights,
-                design.xbar.rows,
-                design.xbar.cols,
-                design.wdm_capacity.max(1),
-                rng,
-            )?),
-            _ => MappedVcore::Electronic(TacitMapped::program(weights, &design.xbar, rng)?),
+    let plan = LayerPlan::new(net)?;
+    let vcores = plan
+        .matrices()
+        .map(|m| {
+            Ok(match design.kind {
+                DesignKind::EinsteinBarrier => MappedVcore::Optical(OpticalTacitMapped::program(
+                    &m.weights,
+                    design.xbar.rows,
+                    design.xbar.cols,
+                    design.wdm_capacity.max(1),
+                    rng,
+                )?),
+                _ => MappedVcore::Electronic(TacitMapped::program(&m.weights, &design.xbar, rng)?),
+            })
         })
-    })
+        .collect::<Result<_, CompileError>>()?;
+    Ok(lower(design, plan, vcores))
 }
 
 /// Recompiles a network for a design over already-programmed VCores —
@@ -287,112 +300,59 @@ pub fn compile(
 /// # Errors
 ///
 /// Returns [`CompileError`] when the network is not representable, or
-/// when `vcores` does not fit it: too few or too many, a VCore on the
-/// wrong substrate for the design, or one programmed for a different
-/// weight matrix, crossbar shape, or WDM capacity.
+/// when `vcores` does not fit it ([`LayerPlan::check_fit`]): too few or
+/// too many, a VCore on the wrong substrate for the design, or one
+/// programmed for a different weight matrix, crossbar shape, or WDM
+/// capacity.
 pub fn recompile(
     design: &Design,
     net: &Bnn,
     vcores: Vec<MappedVcore>,
 ) -> Result<CompiledNetwork, CompileError> {
-    let saved = vcores.len();
-    let mut vcores = vcores.into_iter().enumerate();
-    let compiled = lower(design, net, |weights| {
-        let (i, vcore) = vcores.next().ok_or_else(|| {
-            CompileError::Unsupported(format!(
-                "only {saved} saved vcore(s) for a network with more matrix layers"
-            ))
-        })?;
-        check_saved_vcore(design, i, &vcore, weights)?;
-        Ok(vcore)
-    })?;
-    if vcores.len() != 0 {
-        return Err(CompileError::Unsupported(format!(
-            "{saved} saved vcore(s) for a network with {} matrix layer(s)",
-            compiled.vcores.len()
-        )));
-    }
-    Ok(compiled)
+    let plan = LayerPlan::new(net)?;
+    let substrate = ((design.xbar.rows, design.xbar.cols), wdm_lanes(design));
+    plan.check_fit(vcores.iter(), substrate)?;
+    Ok(lower(design, plan, vcores))
 }
 
-/// Rejects saved VCore `i` unless it is what [`compile`] would have
-/// programmed for `weights` on `design`: the design's substrate, its
-/// crossbar shape and (optical) WDM capacity, and the layer's weight
-/// matrix dimensions.
-fn check_saved_vcore(
-    design: &Design,
-    i: usize,
-    vcore: &MappedVcore,
-    weights: &BitMatrix,
-) -> Result<(), CompileError> {
-    let mismatch = |what: String| {
-        Err(CompileError::Unsupported(format!(
-            "saved vcore {i} {what} ({} design)",
-            design.kind.name()
-        )))
-    };
-    let optical = design.kind == DesignKind::EinsteinBarrier;
-    match (vcore.wdm_capacity(), optical) {
-        (Some(_), false) => return mismatch("is optical".into()),
-        (None, true) => return mismatch("is electronic".into()),
-        (Some(k), true) if k != design.wdm_capacity.max(1) => {
-            return mismatch(format!("carries {k} WDM lanes"));
-        }
-        _ => {}
-    }
-    let shape = vcore.xbar_shape();
-    if shape != (design.xbar.rows, design.xbar.cols) {
-        return mismatch(format!(
-            "is programmed on {}×{} crossbars",
-            shape.0, shape.1
-        ));
-    }
-    let (rows, cols) = (vcore.out_vectors(), vcore.fan_in());
-    if (rows, cols) != (weights.rows(), weights.cols()) {
-        return mismatch(format!(
-            "holds a {rows}×{cols} weight matrix where the layer has {}×{}",
-            weights.rows(),
-            weights.cols()
-        ));
-    }
-    Ok(())
+/// WDM lanes per `Mmm` on an optical design; `None` on an electronic one,
+/// which activates its crossbars one `Vmm` at a time.
+fn wdm_lanes(design: &Design) -> Option<usize> {
+    (design.kind == DesignKind::EinsteinBarrier).then_some(design.wdm_capacity.max(1))
 }
 
-/// Lowers `net` for `design`, taking each matrix layer's programmed VCore
-/// from `program_vcore` in network order — the one lowering behind
-/// [`compile`] (fresh crossbars) and [`recompile`] (saved ones).
-fn lower(
-    design: &Design,
-    net: &Bnn,
-    program_vcore: impl FnMut(&BitMatrix) -> Result<MappedVcore, CompileError>,
-) -> Result<CompiledNetwork, CompileError> {
+/// Lowers `plan` for `design` over its programmed VCores, one per matrix
+/// in network order — the one lowering behind [`compile`] (fresh
+/// crossbars) and [`recompile`] (saved ones).
+fn lower(design: &Design, plan: LayerPlan, vcores: Vec<MappedVcore>) -> CompiledNetwork {
     let mut c = Compiler {
-        design: design.clone(),
+        wdm: wdm_lanes(design),
         program: Program::new(),
-        vcores: Vec::new(),
         tables: Vec::new(),
         output_layers: Vec::new(),
         layout: ChipLayout::new(design.chip.clone()),
         regs: Regs::default(),
     };
-    c.lower_network(net, program_vcore)?;
-    Ok(CompiledNetwork {
+    for (m, vcore) in plan.matrices().zip(&vcores) {
+        c.layout.allocate(&m.name, vcore.footprint());
+    }
+    c.lower_network(&plan);
+    CompiledNetwork {
         program: c.program,
-        vcores: c.vcores,
+        vcores,
         tables: c.tables,
         output_layers: c.output_layers,
         placements: c.layout.placements().to_vec(),
         design: design.kind,
         wdm_capacity: design.wdm_capacity.max(1),
         register_count: c.regs.next,
-        input_shape: net.input_shape(),
-    })
+        plan: Arc::new(plan),
+    }
 }
 
 struct Compiler {
-    design: Design,
+    wdm: Option<usize>,
     program: Program,
-    vcores: Vec<MappedVcore>,
     tables: Vec<Vec<ThresholdSpec>>,
     output_layers: Vec<(Vec<Vec<f32>>, Vec<f32>)>,
     layout: ChipLayout,
@@ -400,29 +360,11 @@ struct Compiler {
 }
 
 impl Compiler {
-    fn map_weights(
-        &mut self,
-        name: &str,
-        weights: &BitMatrix,
-        program_vcore: &mut impl FnMut(&BitMatrix) -> Result<MappedVcore, CompileError>,
-    ) -> Result<VcoreId, CompileError> {
-        let vcore = program_vcore(weights)?;
-        self.layout.allocate(name, vcore.footprint());
-        self.vcores.push(vcore);
-        Ok(self.vcores.len() - 1)
-    }
-
-    fn add_table(&mut self, specs: &[ThresholdSpec]) -> TableId {
-        self.tables.push(specs.to_vec());
-        self.tables.len() - 1
-    }
-
     /// Emits the crossbar activation(s) for one `(pos, neg)` drive pair,
     /// using `Mmm` lanes on EinsteinBarrier and a `Vmm` otherwise.
     fn emit_activation(&mut self, vcore: VcoreId, pairs: &[(RegId, RegId, RegId)]) {
-        match self.design.kind {
-            DesignKind::EinsteinBarrier => {
-                let k = self.design.wdm_capacity.max(1);
+        match self.wdm {
+            Some(k) => {
                 for chunk in pairs.chunks(k) {
                     self.program.push(Instruction::Mmm {
                         vcore,
@@ -433,7 +375,7 @@ impl Compiler {
                     });
                 }
             }
-            _ => {
+            None => {
                 for &(pos, neg, dst) in pairs {
                     self.program.push(Instruction::Vmm {
                         vcore,
@@ -446,34 +388,16 @@ impl Compiler {
         }
     }
 
-    /// Lowers a binary XNOR+popcount + threshold over a 0/1 register.
-    fn lower_binary_matvec(&mut self, vcore: VcoreId, table: TableId, input: RegId) -> RegId {
-        let not = self.regs.alloc();
-        self.program.push(Instruction::Not {
-            dst: not,
-            src: input,
-        });
-        let counts = self.regs.alloc();
-        self.emit_activation(vcore, &[(input, not, counts)]);
-        let out = self.regs.alloc();
-        self.program.push(Instruction::Threshold {
-            dst: out,
-            src: counts,
-            table,
-        });
-        out
-    }
-
     /// Lowers the bit-serial fixed-point pre-activation: input register
     /// holds offset-unsigned integers (`x' = q + 127`, 8 bits); the
-    /// result register holds `Σ qᵢ·wᵢ` per output.
+    /// result register holds `Σ qᵢ·wᵢ` per output, `offsets` (the plan's
+    /// `127·Σw` for this window) subtracted.
     fn lower_bitserial_preact(
         &mut self,
         vcore: VcoreId,
         input: RegId,
         fan_in: usize,
-        weight_sums: Vec<f64>,
-        bits: u8,
+        offsets: &[i64],
     ) -> RegId {
         let zero = self.regs.alloc();
         self.program.push(Instruction::Fill {
@@ -481,14 +405,13 @@ impl Compiler {
             value: 0.0,
             len: fan_in,
         });
-        let n = weight_sums.len();
         let acc = self.regs.alloc();
         self.program.push(Instruction::Fill {
             dst: acc,
             value: 0.0,
-            len: n,
+            len: offsets.len(),
         });
-        for b in 0..bits {
+        for b in 0..8u8 {
             let plane = self.regs.alloc();
             self.program.push(Instruction::BitSlice {
                 dst: plane,
@@ -512,11 +435,10 @@ impl Compiler {
                 shift: i32::from(b),
             });
         }
-        // preact = acc − 127·Σwᵢ (the quantization offset).
         let sums = self.regs.alloc();
         self.program.push(Instruction::Const {
             dst: sums,
-            values: weight_sums.iter().map(|s| s * 127.0).collect(),
+            values: offsets.iter().map(|&o| o as f64).collect(),
         });
         let pre = self.regs.alloc();
         self.program.push(Instruction::Alu {
@@ -528,306 +450,149 @@ impl Compiler {
         pre
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn lower_conv(
-        &mut self,
-        vcore: VcoreId,
-        table: TableId,
-        input: RegId,
-        in_shape: (usize, usize, usize),
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-        out_channels: usize,
-    ) -> (RegId, (usize, usize, usize)) {
-        let (c, h, w) = in_shape;
-        let (oh, ow) = eb_bitnn::conv_output_dims(h, w, kernel, stride, pad);
-        let out = self.regs.alloc();
-        self.program.push(Instruction::Fill {
-            dst: out,
-            value: 0.0,
-            len: out_channels * oh * ow,
-        });
-        // Extract all windows, then activate (WDM groups windows on EB).
-        let mut pending: Vec<(RegId, RegId, RegId)> = Vec::new();
-        let mut dests: Vec<(RegId, usize, usize)> = Vec::new();
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let win = self.regs.alloc();
-                self.program.push(Instruction::Window {
-                    dst: win,
-                    src: input,
-                    channels: c,
-                    height: h,
-                    width: w,
-                    kernel,
-                    stride,
-                    pad,
-                    oy,
-                    ox,
-                });
-                let not = self.regs.alloc();
-                self.program.push(Instruction::Not { dst: not, src: win });
-                let counts = self.regs.alloc();
-                pending.push((win, not, counts));
-                dests.push((counts, oy, ox));
-            }
-        }
-        self.emit_activation(vcore, &pending);
-        for (counts, oy, ox) in dests {
-            let bits = self.regs.alloc();
-            self.program.push(Instruction::Threshold {
-                dst: bits,
-                src: counts,
-                table,
-            });
-            self.program.push(Instruction::Scatter {
+    /// Lowers one crossbar step over the activation in `input`. A conv
+    /// extracts every window with `Window` and scatters each window's
+    /// thresholded outputs into a zeroed output map; a dense layer is one
+    /// window, the input itself. Binary windows are driven `(x, x̄)` in one
+    /// activation group (WDM packs windows on EinsteinBarrier); bit-serial
+    /// windows run their eight planes one window at a time.
+    fn lower_matrix(&mut self, m: &MatrixStep, input: RegId) -> RegId {
+        self.tables.push(m.thresholds.clone());
+        let (vcore, table) = (m.index, self.tables.len() - 1);
+        let out = m.conv.map(|g| {
+            let out = self.regs.alloc();
+            self.program.push(Instruction::Fill {
                 dst: out,
-                src: bits,
-                out_channels,
-                oh,
-                ow,
-                oy,
-                ox,
+                value: 0.0,
+                len: m.outputs() * g.windows(),
             });
-        }
-        (out, (out_channels, oh, ow))
-    }
-
-    /// Lowers a fixed-point (8-bit input) convolution: per output window,
-    /// extract the integer window (offset-unsigned `x' = q + 127`), run
-    /// the bit-serial pre-activation against the mapped filters, correct
-    /// the per-window quantization offset (padding positions never carried
-    /// the +127 offset), threshold, and scatter into the output map.
-    #[allow(clippy::too_many_arguments)]
-    fn lower_fixed_conv(
-        &mut self,
-        vcore: VcoreId,
-        table: TableId,
-        input: RegId,
-        in_shape: (usize, usize, usize),
-        filters: &BitMatrix,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-    ) -> (RegId, (usize, usize, usize)) {
-        let (c, h, w) = in_shape;
-        let (oh, ow) = eb_bitnn::conv_output_dims(h, w, kernel, stride, pad);
-        let out_channels = filters.rows();
-        let out = self.regs.alloc();
-        self.program.push(Instruction::Fill {
-            dst: out,
-            value: 0.0,
-            len: out_channels * oh * ow,
+            out
         });
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let win = self.regs.alloc();
-                self.program.push(Instruction::Window {
-                    dst: win,
-                    src: input,
-                    channels: c,
-                    height: h,
-                    width: w,
-                    kernel,
-                    stride,
-                    pad,
-                    oy,
-                    ox,
-                });
-                // Per-window weight sums over valid (non-pad) positions.
-                let sums = window_weight_sums(filters, (c, h, w), kernel, stride, pad, oy, ox);
-                let pre = self.lower_bitserial_preact(vcore, win, c * kernel * kernel, sums, 8);
-                let bits = self.regs.alloc();
-                self.program.push(Instruction::Threshold {
-                    dst: bits,
-                    src: pre,
-                    table,
-                });
-                self.program.push(Instruction::Scatter {
-                    dst: out,
-                    src: bits,
-                    out_channels,
-                    oh,
-                    ow,
-                    oy,
-                    ox,
-                });
+        let mut last = input;
+        match &m.offsets {
+            None => {
+                let pending: Vec<_> = (0..m.windows())
+                    .map(|wi| {
+                        let win = self.window(m, input, wi);
+                        let not = self.regs.alloc();
+                        self.program.push(Instruction::Not { dst: not, src: win });
+                        (win, not, self.regs.alloc())
+                    })
+                    .collect();
+                self.emit_activation(vcore, &pending);
+                for (wi, &(_, _, counts)) in pending.iter().enumerate() {
+                    last = self.threshold(m, table, counts, out, wi);
+                }
+            }
+            Some(offsets) => {
+                for (wi, offsets) in offsets.chunks_exact(m.outputs()).enumerate() {
+                    let win = self.window(m, input, wi);
+                    let pre = self.lower_bitserial_preact(vcore, win, m.weights.cols(), offsets);
+                    last = self.threshold(m, table, pre, out, wi);
+                }
             }
         }
-        (out, (out_channels, oh, ow))
+        out.unwrap_or(last)
     }
 
-    fn lower_network(
+    /// The register holding window `wi`'s drive: the input itself on a
+    /// dense layer, an extracted `Window` on a conv.
+    fn window(&mut self, m: &MatrixStep, input: RegId, wi: usize) -> RegId {
+        let Some(g) = m.conv else {
+            return input;
+        };
+        let win = self.regs.alloc();
+        self.program.push(Instruction::Window {
+            dst: win,
+            src: input,
+            channels: g.channels,
+            height: g.height,
+            width: g.width,
+            kernel: g.kernel,
+            stride: g.stride,
+            pad: g.pad,
+            oy: wi / g.out_width,
+            ox: wi % g.out_width,
+        });
+        win
+    }
+
+    /// Thresholds window `wi`'s pre-activations and, on a conv, scatters
+    /// them into the output map `out`.
+    fn threshold(
         &mut self,
-        net: &Bnn,
-        mut program_vcore: impl FnMut(&BitMatrix) -> Result<MappedVcore, CompileError>,
-    ) -> Result<(), CompileError> {
+        m: &MatrixStep,
+        table: TableId,
+        src: RegId,
+        out: Option<RegId>,
+        wi: usize,
+    ) -> RegId {
+        let bits = self.regs.alloc();
+        self.program.push(Instruction::Threshold {
+            dst: bits,
+            src,
+            table,
+        });
+        if let (Some(dst), Some(g)) = (out, m.conv) {
+            self.program.push(Instruction::Scatter {
+                dst,
+                src: bits,
+                out_channels: m.outputs(),
+                oh: g.out_height,
+                ow: g.out_width,
+                oy: wi / g.out_width,
+                ox: wi % g.out_width,
+            });
+        }
+        bits
+    }
+
+    fn lower_network(&mut self, plan: &LayerPlan) {
         let input = self.regs.alloc();
         self.program.push(Instruction::LoadInput {
             dst: input,
             bits: 8,
         });
         let mut cur = input;
-        let mut cur_shape = net.input_shape();
-        let mut result = cur;
-        for (i, layer) in net.layers().iter().enumerate() {
-            match layer {
-                Layer::FixedLinear(l) => {
-                    let weights = l.weights().clone();
-                    let sums: Vec<f64> = weights
-                        .iter_rows()
-                        .map(|r| 2.0 * f64::from(r.popcount()) - weights.cols() as f64)
-                        .collect();
-                    let vcore = self.map_weights(layer.name(), &weights, &mut program_vcore)?;
-                    let table = self.add_table(l.thresholds());
-                    let pre = self.lower_bitserial_preact(vcore, cur, weights.cols(), sums, 8);
-                    let out = self.regs.alloc();
-                    self.program.push(Instruction::Threshold {
-                        dst: out,
-                        src: pre,
-                        table,
-                    });
-                    cur = out;
-                    cur_shape = Shape::Flat(weights.rows());
-                }
-                Layer::BinLinear(l) => {
-                    let vcore = self.map_weights(layer.name(), l.weights(), &mut program_vcore)?;
-                    let table = self.add_table(l.thresholds());
-                    cur = self.lower_binary_matvec(vcore, table, cur);
-                    cur_shape = Shape::Flat(l.weights().rows());
-                }
-                Layer::FixedConv(l) => {
-                    let (c, h, w) = match cur_shape {
-                        Shape::Img(c, h, w) => (c, h, w),
-                        Shape::Flat(_) => {
-                            return Err(CompileError::Unsupported(format!(
-                                "layer {i}: conv over flat activation"
-                            )))
-                        }
-                    };
-                    let k = l.kernel();
-                    let (s, p) = (l.stride(), l.pad());
-                    let filters = l.filters().clone();
-                    let vcore = self.map_weights(layer.name(), &filters, &mut program_vcore)?;
-                    let table = self.add_table(l.thresholds());
-                    let (out, shape) =
-                        self.lower_fixed_conv(vcore, table, cur, (c, h, w), &filters, k, s, p);
-                    cur = out;
-                    cur_shape = Shape::Img(shape.0, shape.1, shape.2);
-                }
-                Layer::BinConv(l) => {
-                    let (c, h, w) = match cur_shape {
-                        Shape::Img(c, h, w) => (c, h, w),
-                        Shape::Flat(_) => {
-                            return Err(CompileError::Unsupported(format!(
-                                "layer {i}: conv over flat activation"
-                            )))
-                        }
-                    };
-                    let vcore = self.map_weights(layer.name(), l.filters(), &mut program_vcore)?;
-                    let table = self.add_table(l.thresholds());
-                    let (out, shape) = self.lower_conv(
-                        vcore,
-                        table,
-                        cur,
-                        (c, h, w),
-                        l.kernel(),
-                        l.stride(),
-                        l.pad(),
-                        l.filters().rows(),
-                    );
-                    cur = out;
-                    cur_shape = Shape::Img(shape.0, shape.1, shape.2);
-                }
-                Layer::MaxPool2 => {
-                    let (c, h, w) = match cur_shape {
-                        Shape::Img(c, h, w) => (c, h, w),
-                        Shape::Flat(_) => {
-                            return Err(CompileError::Unsupported(format!(
-                                "layer {i}: pool over flat activation"
-                            )))
-                        }
-                    };
+        for step in plan.steps() {
+            cur = match step {
+                Step::Matrix(m) => self.lower_matrix(m, cur),
+                &Step::MaxPool2 {
+                    input: (channels, height, width),
+                } => {
                     let out = self.regs.alloc();
                     self.program.push(Instruction::MaxPool2 {
                         dst: out,
                         src: cur,
-                        channels: c,
-                        height: h,
-                        width: w,
+                        channels,
+                        height,
+                        width,
                     });
-                    cur = out;
-                    cur_shape = Shape::Img(c, h / 2, w / 2);
+                    out
                 }
-                Layer::Flatten => {
-                    // Channel-major layout is already flat in registers.
-                    cur_shape = Shape::Flat(cur_shape.len());
-                }
-                Layer::Output(l) => {
+                // Channel-major layout is already flat in registers.
+                Step::Flatten => cur,
+                Step::Output(l) => {
                     self.output_layers
                         .push((l.weights().to_vec(), l.bias().to_vec()));
-                    let idx = self.output_layers.len() - 1;
                     let out = self.regs.alloc();
                     self.program.push(Instruction::OutputFc {
                         dst: out,
                         src: cur,
-                        layer: idx,
+                        layer: self.output_layers.len() - 1,
                     });
-                    cur = out;
-                    cur_shape = Shape::Flat(l.weights().len());
+                    out
                 }
-                other => {
-                    return Err(CompileError::Unsupported(format!(
-                        "layer {i}: {} not supported by the compiler",
-                        other.name()
-                    )));
-                }
-            }
-            result = cur;
+            };
         }
-        self.program.push(Instruction::Halt { result });
-        Ok(())
+        self.program.push(Instruction::Halt { result: cur });
     }
-}
-
-/// Bipolar weight sums of each filter restricted to the window positions
-/// that fall inside the (unpadded) input — the compile-time constant that
-/// corrects the `x' = q + 127` offset per window.
-fn window_weight_sums(
-    filters: &BitMatrix,
-    (c, h, w): (usize, usize, usize),
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-    oy: usize,
-    ox: usize,
-) -> Vec<f64> {
-    (0..filters.rows())
-        .map(|f| {
-            let mut sum = 0.0;
-            for ci in 0..c {
-                for ky in 0..kernel {
-                    for kx in 0..kernel {
-                        let iy = (oy * stride + ky) as isize - pad as isize;
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
-                            continue;
-                        }
-                        let bit = filters.get(f, (ci * kernel + ky) * kernel + kx) == Some(true);
-                        sum += if bit { 1.0 } else { -1.0 };
-                    }
-                }
-            }
-            sum
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eb_bitnn::{BinLinear, FixedLinear, Layer, OutputLinear};
+    use eb_bitnn::{BinLinear, FixedLinear, Layer, OutputLinear, Shape};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -907,18 +672,49 @@ mod tests {
     #[test]
     fn unsupported_shapes_report_cleanly() {
         let mut rng = StdRng::seed_from_u64(6);
-        // Pooling a flat activation is a topology error caught by Bnn::new,
-        // so exercise the compiler's own guard via a hand-built stack that
-        // the network validator would also reject — compile from parts.
-        let net = Bnn::new(
-            "flatpool",
-            Shape::Img(1, 4, 4),
-            vec![Layer::MaxPool2, Layer::Flatten],
-        )
-        .unwrap();
-        // No matrix layers at all: program is just LoadInput/pool/halt and
-        // compiles fine (zero placements).
-        let c = compile(&Design::tacitmap_epcm(), &net, &mut rng).unwrap();
+        let fixed = |rng: &mut StdRng| Layer::FixedLinear(FixedLinear::random("fx", 8, 8, rng));
+        let binary = |rng: &mut StdRng| Layer::BinLinear(BinLinear::random("bin", 8, 8, rng));
+        let output = |rng: &mut StdRng| Layer::Output(OutputLinear::random("out", 8, 2, rng));
+        // Stacks whose shapes chain, so `Bnn::new` accepts them, but whose
+        // activation kinds do not: the layer plan rejects each before a
+        // crossbar is programmed.
+        let misfits = [
+            (
+                "pooling the real input",
+                Shape::Img(1, 4, 4),
+                vec![Layer::MaxPool2, Layer::Flatten],
+            ),
+            (
+                "a fixed-point layer after layer 0",
+                Shape::Flat(8),
+                vec![fixed(&mut rng), fixed(&mut rng), output(&mut rng)],
+            ),
+            (
+                "a binary layer fed the real input",
+                Shape::Flat(8),
+                vec![binary(&mut rng), output(&mut rng)],
+            ),
+            (
+                "no output layer",
+                Shape::Flat(8),
+                vec![fixed(&mut rng), binary(&mut rng)],
+            ),
+        ];
+        for (what, shape, layers) in misfits {
+            let net = Bnn::new(what, shape, layers).unwrap();
+            for design in [Design::tacitmap_epcm(), Design::einstein_barrier()] {
+                let got = compile(&design, &net, &mut rng);
+                assert!(
+                    matches!(got, Err(CompileError::Unsupported(_))),
+                    "{what} on {}",
+                    design.kind.name()
+                );
+            }
+        }
+        // No layers at all: the program echoes its input, with no matrix
+        // and no placement.
+        let empty = Bnn::new("empty", Shape::Flat(4), vec![]).unwrap();
+        let c = compile(&Design::tacitmap_epcm(), &empty, &mut rng).unwrap();
         assert!(c.placements.is_empty());
         assert!(c.vcores.is_empty());
     }

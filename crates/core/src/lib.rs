@@ -8,6 +8,8 @@
 //! * [`arch`] — the spatial hierarchy and layer placement.
 //! * [`isa`] — the PUMA-extended instruction set with the new `MMM`
 //!   (multi-VMM via WDM) instruction.
+//! * [`lowering`] — the layer plan: the crossbar lowering's per-layer
+//!   constants, derived once for the compiler and the serving sessions.
 //! * [`compiler`] — lowers an `eb-bitnn` network to mapped crossbars +
 //!   an instruction stream.
 //! * [`sim`] — the instruction-level simulator: functionally bit-exact
@@ -36,6 +38,7 @@ pub mod compiler;
 pub mod configs;
 pub mod gpu;
 pub mod isa;
+pub mod lowering;
 pub mod optical;
 pub mod perf;
 pub mod report;
@@ -47,6 +50,7 @@ pub use compiler::{compile, recompile, CompileError, CompiledNetwork, MappedVcor
 pub use configs::{ChipConfig, Design, DesignKind};
 pub use gpu::GpuModel;
 pub use isa::{AluOp, Instruction, MmmLane, Program};
+pub use lowering::{ConvGeometry, LayerPlan, MatrixStep, Step};
 pub use optical::{OpticalMapError, OpticalTacitMapped};
 pub use perf::{evaluate_layer, evaluate_layers, evaluate_model, LayerPerf, PerfReport};
 pub use report::{geomean, report_table, run_fig7, run_fig8, Fig7, Fig7Row, Fig8, Fig8Row};

@@ -111,7 +111,7 @@ impl<R: Rng> Machine<R> {
     ///
     /// Returns [`SimError`] on malformed programs or execution failures.
     pub fn run(&mut self, input: &Tensor) -> Result<Tensor, SimError> {
-        let expected = self.net.input_shape.len();
+        let expected = self.net.plan.input_shape().len();
         if input.len() != expected {
             return Err(SimError::BadInput {
                 expected,

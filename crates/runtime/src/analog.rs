@@ -4,6 +4,13 @@
 //! and the simulator backend, which serves the vcores the `eb-core`
 //! compiler programmed through this same [`AnalogSession`].
 //!
+//! A session walks the network's [`LayerPlan`] — the `eb-core` type that
+//! derives the lowering's per-layer constants once (matrix and layer
+//! indices, conv geometry, the `127·Σw` offset tables) and that the
+//! compiler emits its instruction stream from. Restoring prepared state
+//! runs the plan's one fit check ([`LayerPlan::check_fit`]), which
+//! `eb_core::recompile` runs too.
+//!
 //! Every backend holds a programmed matrix layer as the compiler's
 //! [`MappedVcore`] plus the execution RNG and WDM-lane counter its
 //! session keeps ([`MappedMat`]); the electronic-vs-optical dispatch is
@@ -14,8 +21,8 @@
 //!
 //! Binary layers drive `(x, x̄)` and read every XNOR popcount in one
 //! activation; fixed-point first layers run bit-serially over the
-//! offset-unsigned planes of `x' = q + 127`, with the per-output (or
-//! per-window) quantization offset subtracted digitally; pooling,
+//! offset-unsigned planes of `x' = q + 127`, with the plan's per-output
+//! (or per-window) quantization offset subtracted digitally; pooling,
 //! flatten, and the real-valued output layer run on the (software)
 //! scalar unit, where the compiled program runs them on the ECore vector
 //! FU. In noiseless configurations every session is bit-exact against
@@ -27,8 +34,10 @@ use crate::session::{
     mint_replicas, Backend, NoiseProfile, Session, SessionMemory, SessionOpts, SessionStats,
 };
 use eb_artifact::{Prepared, PreparedBackend, PreparedMat, PreparedState};
-use eb_bitnn::{conv_output_dims, BitMatrix, BitTensor, BitVec, Bnn, Layer, Shape, Tensor};
-use eb_core::{MappedVcore, OpticalTacitMapped, SimStats};
+use eb_bitnn::{BitTensor, BitVec, Bnn, Tensor};
+use eb_core::{
+    ConvGeometry, LayerPlan, MappedVcore, MatrixStep, OpticalTacitMapped, SimStats, Step,
+};
 use eb_mapping::TacitMapped;
 use eb_photonics::{Receiver, PAPER_WDM_CAPACITY};
 use eb_xbar::{DeviceParams, FaultConfig, XbarConfig};
@@ -84,19 +93,18 @@ impl EpcmBackend {
             Some(f) => Some(f),
             None => cfg.fault,
         };
-        let session = AnalogSession::build(net, |weights, layer| {
-            let mut rng = StdRng::seed_from_u64(layer_seed(opts.noise.seed, layer));
+        AnalogSession::build("epcm", LayerPlan::new(net)?, |m| {
+            let mut rng = StdRng::seed_from_u64(layer_seed(opts.noise.seed, m.layer));
             let mut layer_cfg = cfg.clone();
             // Every layer gets its own fault-map seed: physically distinct
             // crossbars must not share a defect pattern.
-            layer_cfg.fault = fault.map(|f| f.with_seed(layer_seed(f.seed, layer)));
-            let mut mapped = TacitMapped::program(weights, &layer_cfg, &mut rng)?;
+            layer_cfg.fault = fault.map(|f| f.with_seed(layer_seed(f.seed, m.layer)));
+            let mut mapped = TacitMapped::program(&m.weights, &layer_cfg, &mut rng)?;
             if let Some(t_ratio) = drift {
                 mapped.set_drift_t_ratio(t_ratio);
             }
             Ok(MappedMat::new(MappedVcore::Electronic(mapped), rng))
-        })?;
-        Ok(session.named("epcm"))
+        })
     }
 }
 
@@ -137,8 +145,9 @@ impl Backend for EpcmBackend {
 
 /// Rebuilds an ePCM or photonic session from a prepared-state snapshot —
 /// the restore branch of both backends' [`Backend::prepare_replicas`].
-/// Every layer must have been programmed for the backend's `configured`
-/// crossbar shape and (photonic) WDM capacity.
+/// The snapshot's layers must fit `net`'s layer plan on the backend's
+/// `configured` crossbar shape and (photonic) WDM capacity
+/// ([`LayerPlan::check_fit`]).
 fn restore_session(
     net: &Bnn,
     prepared: Prepared,
@@ -157,23 +166,10 @@ fn restore_session(
             )))
         }
     };
-    let substrate = |((rows, cols), k): ((usize, usize), Option<usize>)| match k {
-        None => format!("{rows}×{cols} crossbars"),
-        Some(k) => format!("{rows}×{cols} optical crossbars at K = {k}"),
-    };
-    for mat in &mats {
-        let programmed = (mat.vcore.xbar_shape(), mat.vcore.wdm_capacity());
-        if programmed != configured {
-            return Err(EbError::Config(format!(
-                "artifact prepared state was programmed on {} but this {} backend is \
-                 configured for {}",
-                substrate(programmed),
-                backend.name(),
-                substrate(configured)
-            )));
-        }
-    }
-    serve_programmed(net, backend.name(), mats.into_iter().map(MappedMat::from))
+    let plan = LayerPlan::new(net)?;
+    plan.check_fit(mats.iter().map(|m| &m.vcore), configured)?;
+    let mats = mats.into_iter().map(MappedMat::from).collect();
+    Ok(AnalogSession::new(backend.name(), Arc::new(plan), mats))
 }
 
 /// Captures a freshly programmed session's layers as the prepared state
@@ -188,44 +184,6 @@ fn export_session(
         meta: captured_meta(state.backend(), &opts.noise),
         state,
     }
-}
-
-/// Serves matrix layers that are already programmed, one per matrix layer
-/// of `net` in network order. Rejects layers that do not fit the network:
-/// too few, too many, or programmed for other weight dimensions.
-pub(crate) fn serve_programmed(
-    net: &Bnn,
-    name: &'static str,
-    mats: impl IntoIterator<Item = MappedMat>,
-) -> Result<AnalogSession, EbError> {
-    let mut mats = mats.into_iter();
-    let session = AnalogSession::build(net, |weights, layer| {
-        let mat = mats.next().ok_or_else(|| {
-            EbError::Config(format!(
-                "artifact prepared state ran out of programmed matrices at layer {layer}; \
-                 it was captured for a different network"
-            ))
-        })?;
-        let (fan_in, outs) = (mat.vcore.fan_in(), mat.vcore.out_vectors());
-        if fan_in != weights.cols() || outs != weights.rows() {
-            return Err(EbError::Config(format!(
-                "artifact prepared state layer {layer} is programmed for a {outs}×{fan_in} \
-                 weight matrix but the network's layer is {}×{} on the {name} substrate; it \
-                 was captured for a different network",
-                weights.rows(),
-                weights.cols()
-            )));
-        }
-        Ok(mat)
-    })?;
-    let leftover = mats.count();
-    if leftover != 0 {
-        return Err(EbError::Config(format!(
-            "artifact prepared state has {leftover} more programmed matrices than this network \
-             has matrix layers; it was captured for a different network"
-        )));
-    }
-    Ok(session.named(name))
 }
 
 /// Checks that a requested drift configuration is one the effective device
@@ -344,10 +302,10 @@ impl PhotonicBackend {
     /// [`Backend::export_prepared`].
     fn program_session(&self, net: &Bnn, opts: &SessionOpts) -> Result<AnalogSession, EbError> {
         self.validate_opts(opts)?;
-        let session = AnalogSession::build(net, |weights, layer| {
-            let mut rng = StdRng::seed_from_u64(layer_seed(opts.noise.seed, layer));
+        AnalogSession::build("photonic", LayerPlan::new(net)?, |m| {
+            let mut rng = StdRng::seed_from_u64(layer_seed(opts.noise.seed, m.layer));
             let mut mapped = OpticalTacitMapped::program(
-                weights,
+                &m.weights,
                 self.rows,
                 self.cols,
                 self.capacity,
@@ -357,8 +315,7 @@ impl PhotonicBackend {
                 mapped.set_receiver(Receiver::noisy());
             }
             Ok(MappedMat::new(MappedVcore::Optical(mapped), rng))
-        })?;
-        Ok(session.named("photonic"))
+        })
     }
 }
 
@@ -472,88 +429,32 @@ impl From<MappedMat> for PreparedMat {
     }
 }
 
-/// Spatial parameters of one convolutional layer instance.
-#[derive(Debug, Clone, Copy)]
-struct ConvGeom {
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    oh: usize,
-    ow: usize,
-}
-
-/// Per-layer execution recipe, parallel to `Bnn::layers()`.
-#[derive(Debug, Clone)]
-enum LayerExec {
-    /// Bit-serial dense first layer; `offsets[j] = 127·Σwⱼ`.
-    FixedLinear { mat: usize, offsets: Vec<i64> },
-    /// Single-activation binary dense layer.
-    BinLinear { mat: usize },
-    /// Bit-serial conv; `offsets[window][f] = 127·Σw over valid positions`.
-    FixedConv {
-        mat: usize,
-        geom: ConvGeom,
-        offsets: Vec<Vec<i64>>,
-    },
-    /// Binary conv: all windows of all samples in one batched activation.
-    BinConv { mat: usize, geom: ConvGeom },
-    /// 2×2 OR pooling (scalar unit).
-    MaxPool2,
-    /// Map → flat vector (layout no-op).
-    Flatten,
-    /// Real-valued output layer (scalar unit).
-    Output,
-}
-
-impl LayerExec {
-    /// Approximate bytes of this step, its offset tables included.
-    fn bytes(&self) -> usize {
-        let tables = match self {
-            Self::FixedLinear { offsets, .. } => std::mem::size_of_val(offsets.as_slice()),
-            Self::FixedConv { offsets, .. } => offsets
-                .iter()
-                .map(|o| std::mem::size_of::<Vec<i64>>() + std::mem::size_of_val(o.as_slice()))
-                .sum(),
-            _ => 0,
-        };
-        std::mem::size_of::<Self>() + tables
-    }
-}
-
-/// Activation state of one sample while a batch walks the layer stack.
-#[derive(Debug, Clone)]
-enum AnalogAct {
-    /// Still reading from the caller's input tensor (before layer 0).
+/// The activations of a whole batch between two plan steps.
+enum Batch {
+    /// Still the caller's input tensors (before the first step).
     Input,
-    /// Flat binary activation.
-    Bin(BitVec),
-    /// Spatial binary activation.
-    Map(BitTensor),
+    /// Flat binary activations.
+    Vectors(Vec<BitVec>),
+    /// Spatial binary activations.
+    Maps(Vec<BitTensor>),
     /// Final logits.
-    Logits(Tensor),
+    Logits(Vec<Tensor>),
 }
 
 /// A network programmed onto an analog substrate, serving through the
 /// shared layer-wise lowering.
 ///
-/// The expensive, immutable parts — the network weights, the execution
-/// plan with its digital offset constants, and (inside each
-/// [`MappedMat`]) the programmed crossbar cores — are `Arc`-shared, so
+/// The expensive, immutable parts — the layer plan with its weights and
+/// digital offset constants, and (inside each [`MappedMat`]) the
+/// programmed crossbar cores — are `Arc`-shared, so
 /// [`AnalogSession::replicate`] mints additional replicas without
 /// re-programming a single device.
 #[derive(Debug, Clone)]
 pub(crate) struct AnalogSession {
     name: &'static str,
-    net: Arc<Bnn>,
+    plan: Arc<LayerPlan>,
+    /// One programmed layer per matrix of `plan`, in network order.
     mats: Vec<MappedMat>,
-    /// Network layer index each entry of `mats` was programmed for —
-    /// what [`AnalogSession::replicate`] feeds back into [`layer_seed`]
-    /// so replica RNG streams stay per-layer independent.
-    mat_layers: Vec<usize>,
-    plan: Arc<Vec<LayerExec>>,
     inferences: u64,
     /// Accumulated wall-clock serving time (monotone nondecreasing).
     latency_ns: f64,
@@ -564,90 +465,28 @@ pub(crate) struct AnalogSession {
 }
 
 impl AnalogSession {
-    /// Walks the network once, programming every matrix layer through
-    /// `program` and precomputing the digital offset constants.
-    pub(crate) fn build(
-        net: &Bnn,
-        mut program: impl FnMut(&BitMatrix, usize) -> Result<MappedMat, EbError>,
-    ) -> Result<Self, EbError> {
-        let mut mats = Vec::new();
-        let mut mat_layers = Vec::new();
-        let mut program = |weights: &BitMatrix, layer: usize| {
-            mat_layers.push(layer);
-            program(weights, layer)
-        };
-        let mut plan = Vec::with_capacity(net.layers().len());
-        for (i, layer) in net.layers().iter().enumerate() {
-            let exec = match layer {
-                Layer::FixedLinear(l) => {
-                    mats.push(program(l.weights(), i)?);
-                    LayerExec::FixedLinear {
-                        mat: mats.len() - 1,
-                        offsets: dense_offsets(l.weights()),
-                    }
-                }
-                Layer::BinLinear(l) => {
-                    mats.push(program(l.weights(), i)?);
-                    LayerExec::BinLinear {
-                        mat: mats.len() - 1,
-                    }
-                }
-                Layer::FixedConv(l) => {
-                    let geom = conv_geom(
-                        net.shape_at(i),
-                        l.in_channels(),
-                        l.kernel(),
-                        l.stride(),
-                        l.pad(),
-                    )?;
-                    mats.push(program(l.filters(), i)?);
-                    LayerExec::FixedConv {
-                        mat: mats.len() - 1,
-                        geom,
-                        offsets: conv_window_offsets(l.filters(), &geom),
-                    }
-                }
-                Layer::BinConv(l) => {
-                    let geom = conv_geom(
-                        net.shape_at(i),
-                        l.in_channels(),
-                        l.kernel(),
-                        l.stride(),
-                        l.pad(),
-                    )?;
-                    mats.push(program(l.filters(), i)?);
-                    LayerExec::BinConv {
-                        mat: mats.len() - 1,
-                        geom,
-                    }
-                }
-                Layer::MaxPool2 => LayerExec::MaxPool2,
-                Layer::Flatten => LayerExec::Flatten,
-                Layer::Output(_) => LayerExec::Output,
-                other => {
-                    return Err(EbError::Config(format!(
-                        "layer {i} ({}) is not supported on analog substrates",
-                        other.name()
-                    )))
-                }
-            };
-            plan.push(exec);
-        }
-        Ok(Self {
-            name: "analog",
-            net: Arc::new(net.clone()),
+    /// Serves `mats`, one per matrix of `plan` in network order, which
+    /// the caller programmed for it or checked against it.
+    pub(crate) fn new(name: &'static str, plan: Arc<LayerPlan>, mats: Vec<MappedMat>) -> Self {
+        Self {
+            name,
+            plan,
             mats,
-            mat_layers,
-            plan: Arc::new(plan),
             inferences: 0,
             latency_ns: 0.0,
             ledger: None,
-        })
+        }
     }
 
-    pub(crate) fn named(mut self, name: &'static str) -> Self {
-        self.name = name;
-        self
+    /// Programs every matrix of `plan` through `program`, in network
+    /// order.
+    fn build(
+        name: &'static str,
+        plan: LayerPlan,
+        program: impl FnMut(&MatrixStep) -> Result<MappedMat, EbError>,
+    ) -> Result<Self, EbError> {
+        let mats = plan.matrices().map(program).collect::<Result<_, _>>()?;
+        Ok(Self::new(name, Arc::new(plan), mats))
     }
 
     /// Reports modeled cost as `ledger` × served inferences.
@@ -657,27 +496,21 @@ impl AnalogSession {
     }
 
     /// Mints a replica that shares this session's programmed crossbar
-    /// cores, network weights, and execution plan, but owns fresh
-    /// telemetry and fresh per-layer execution RNGs seeded from
-    /// `replica_seed` through the same [`layer_seed`] derivation a
-    /// fresh prepare at that seed would use. Only *execution* noise
-    /// draws from the new streams — the programmed conductances are the
-    /// original's, shared.
+    /// cores and layer plan, but owns fresh telemetry and fresh per-layer
+    /// execution RNGs seeded from `replica_seed` through the same
+    /// [`layer_seed`] derivation a fresh prepare at that seed would use.
+    /// Only *execution* noise draws from the new streams — the programmed
+    /// conductances are the original's, shared.
     pub(crate) fn replicate(&self, replica_seed: u64) -> Self {
+        let mats = self
+            .mats
+            .iter()
+            .zip(self.plan.matrices())
+            .map(|(mat, m)| mat.replicate(layer_seed(replica_seed, m.layer)))
+            .collect();
         Self {
-            name: self.name,
-            net: Arc::clone(&self.net),
-            mats: self
-                .mats
-                .iter()
-                .zip(&self.mat_layers)
-                .map(|(m, &layer)| m.replicate(layer_seed(replica_seed, layer)))
-                .collect(),
-            mat_layers: self.mat_layers.clone(),
-            plan: Arc::clone(&self.plan),
-            inferences: 0,
-            latency_ns: 0.0,
             ledger: self.ledger.clone(),
+            ..Self::new(self.name, Arc::clone(&self.plan), mats)
         }
     }
 
@@ -690,161 +523,141 @@ impl AnalogSession {
         out
     }
 
-    /// Serves a whole batch layer by layer: every matrix layer fires one
-    /// batched substrate activation covering all samples (and, for convs,
-    /// all windows), so periphery setup, device resolution, and WDM lane
-    /// packing amortize across the batch.
+    /// Serves a whole batch step by step along the plan: every matrix
+    /// step fires one batched substrate activation covering all samples
+    /// (and, for convs, all windows), so periphery setup, device
+    /// resolution, and WDM lane packing amortize across the batch.
     fn run_batch_inner(&mut self, xs: &[Tensor]) -> Result<Vec<Tensor>, EbError> {
-        let expected = self.net.input_shape();
-        for x in xs {
-            if x.len() != expected.len() {
-                return Err(EbError::Config(format!(
-                    "input has {} elements, network expects {}",
-                    x.len(),
-                    expected.len()
-                )));
-            }
+        let expected = self.plan.input_shape().len();
+        if let Some(x) = xs.iter().find(|x| x.len() != expected) {
+            return Err(EbError::Config(format!(
+                "input has {} elements, network expects {expected}",
+                x.len()
+            )));
         }
-        let mut states = vec![AnalogAct::Input; xs.len()];
-        let layers = self.net.layers();
-        for (layer, exec) in layers.iter().zip(self.plan.iter()) {
-            match (layer, exec) {
-                (Layer::FixedLinear(l), LayerExec::FixedLinear { mat, offsets }) => {
-                    let fan_in = l.weights().cols();
-                    let n = l.weights().rows();
-                    let vals: Vec<Vec<i32>> = xs
-                        .iter()
-                        .zip(&states)
-                        .map(|(x, st)| {
-                            expect_input(st)?;
-                            Ok(x.quantize(8).iter().map(|&q| i32::from(q) + 127).collect())
+        let mut acts = Batch::Input;
+        for step in self.plan.steps() {
+            acts = match (step, acts) {
+                (Step::Matrix(m), acts) => run_matrix(m, &mut self.mats[m.index], xs, &acts)?,
+                (Step::MaxPool2 { .. }, Batch::Maps(ts)) => {
+                    Batch::Maps(ts.iter().map(BitTensor::max_pool_2x2).collect())
+                }
+                (Step::Flatten, Batch::Maps(ts)) => {
+                    Batch::Vectors(ts.iter().map(BitTensor::flatten).collect())
+                }
+                (Step::Output(l), Batch::Vectors(vs)) => Batch::Logits(
+                    vs.iter()
+                        .map(|bits| {
+                            let logits = eb_bitnn::ops::output_logits(bits, l.weights(), l.bias());
+                            Tensor::from_vec(&[logits.len()], logits)
                         })
-                        .collect::<Result<_, EbError>>()?;
-                    let acc = bit_serial_acc(&mut self.mats[*mat], &vals, fan_in, n)?;
-                    for (s, st) in states.iter_mut().enumerate() {
-                        let bits: BitVec = (0..n)
-                            .map(|j| l.thresholds()[j].fire(acc[s * n + j] - offsets[j]))
-                            .collect();
-                        *st = AnalogAct::Bin(bits);
-                    }
-                }
-                (Layer::BinLinear(l), LayerExec::BinLinear { mat }) => {
-                    let n = l.weights().rows();
-                    let complements: Vec<BitVec> = states
-                        .iter()
-                        .map(|st| Ok(expect_bin(st)?.complement()))
-                        .collect::<Result<_, EbError>>()?;
-                    let pairs: Vec<(&BitVec, &BitVec)> = states
-                        .iter()
-                        .zip(&complements)
-                        .map(|(st, comp)| Ok((expect_bin(st)?, comp)))
-                        .collect::<Result<_, EbError>>()?;
-                    let counts = self.mats[*mat].activate_pairs(&pairs)?;
-                    for (st, pops) in states.iter_mut().zip(counts) {
-                        let bits: BitVec = (0..n)
-                            .map(|j| l.thresholds()[j].fire(i64::from(pops[j])))
-                            .collect();
-                        *st = AnalogAct::Bin(bits);
-                    }
-                }
-                (Layer::FixedConv(l), LayerExec::FixedConv { mat, geom, offsets }) => {
-                    let fan_in = geom.c * geom.k * geom.k;
-                    let n = l.filters().rows();
-                    let windows = geom.oh * geom.ow;
-                    // One offset-unsigned window vector per (sample, window).
-                    let mut vals = Vec::with_capacity(xs.len() * windows);
-                    for (x, st) in xs.iter().zip(&states) {
-                        expect_input(st)?;
-                        let q = x.quantize(8);
-                        for wi in 0..windows {
-                            vals.push(extract_window(&q, geom, wi / geom.ow, wi % geom.ow));
-                        }
-                    }
-                    let acc = bit_serial_acc(&mut self.mats[*mat], &vals, fan_in, n)?;
-                    for (s, st) in states.iter_mut().enumerate() {
-                        let mut out = BitTensor::zeros(n, geom.oh, geom.ow);
-                        for wi in 0..windows {
-                            let base = (s * windows + wi) * n;
-                            for f in 0..n {
-                                if l.thresholds()[f].fire(acc[base + f] - offsets[wi][f]) {
-                                    out.set(f, wi / geom.ow, wi % geom.ow, true);
-                                }
-                            }
-                        }
-                        *st = AnalogAct::Map(out);
-                    }
-                }
-                (Layer::BinConv(l), LayerExec::BinConv { mat, geom }) => {
-                    let n = l.filters().rows();
-                    let windows = geom.oh * geom.ow;
-                    let mut owned = Vec::with_capacity(xs.len() * windows);
-                    for st in &states {
-                        let t = expect_map(st)?;
-                        let cols = t.im2col(geom.k, geom.stride, geom.pad);
-                        for r in 0..cols.rows() {
-                            let win = cols.row(r);
-                            let comp = win.complement();
-                            owned.push((win, comp));
-                        }
-                    }
-                    let pairs: Vec<(&BitVec, &BitVec)> =
-                        owned.iter().map(|(p, n)| (p, n)).collect();
-                    let counts = self.mats[*mat].activate_pairs(&pairs)?;
-                    for (s, st) in states.iter_mut().enumerate() {
-                        let mut out = BitTensor::zeros(n, geom.oh, geom.ow);
-                        for wi in 0..windows {
-                            let pops = &counts[s * windows + wi];
-                            for f in 0..n {
-                                if l.thresholds()[f].fire(i64::from(pops[f])) {
-                                    out.set(f, wi / geom.ow, wi % geom.ow, true);
-                                }
-                            }
-                        }
-                        *st = AnalogAct::Map(out);
-                    }
-                }
-                (Layer::MaxPool2, LayerExec::MaxPool2) => {
-                    for st in states.iter_mut() {
-                        *st = AnalogAct::Map(expect_map(st)?.max_pool_2x2());
-                    }
-                }
-                (Layer::Flatten, LayerExec::Flatten) => {
-                    for st in states.iter_mut() {
-                        *st = AnalogAct::Bin(expect_map(st)?.flatten());
-                    }
-                }
-                (Layer::Output(l), LayerExec::Output) => {
-                    for st in states.iter_mut() {
-                        let bits = expect_bin(st)?;
-                        let logits = eb_bitnn::ops::output_logits(bits, l.weights(), l.bias());
-                        *st = AnalogAct::Logits(Tensor::from_vec(&[logits.len()], logits));
-                    }
-                }
-                // The plan is built from this same layer stack, so a
-                // mismatch here is an internal invariant break — surfaced
-                // as a typed error instead of panicking a serving thread.
-                (layer, _) => {
-                    return Err(EbError::Config(format!(
-                        "internal error: execution plan diverged from layer stack at `{}`",
-                        layer.name()
-                    )))
-                }
-            }
+                        .collect(),
+                ),
+                _ => return Err(plan_broken()),
+            };
         }
         self.inferences += xs.len() as u64;
-        states
-            .into_iter()
-            .zip(xs)
-            .map(|(st, x)| match st {
-                AnalogAct::Logits(t) => Ok(t),
-                // A zero-layer network echoes its input, like `Bnn::forward`.
-                AnalogAct::Input => Ok(x.clone()),
-                _ => Err(EbError::Config(format!(
-                    "network `{}` does not end on logits",
-                    self.net.name()
-                ))),
-            })
-            .collect()
+        match acts {
+            Batch::Logits(ts) => Ok(ts),
+            // A zero-layer network echoes its input, like `Bnn::forward`.
+            Batch::Input => Ok(xs.to_vec()),
+            _ => Err(plan_broken()),
+        }
+    }
+}
+
+/// The plan chains activation kinds by construction
+/// ([`LayerPlan::new`]), so a step fed another kind is an internal
+/// contract break — surfaced as a typed error, not a serving-thread
+/// panic.
+fn plan_broken() -> EbError {
+    EbError::Config(
+        "internal error: a layer-plan step was fed an activation it does not take".into(),
+    )
+}
+
+/// Runs one crossbar step over the whole batch. A bit-serial step drives
+/// the quantized input (per window on a conv) plane by plane and
+/// subtracts the plan's offsets; a binary step drives `(x, x̄)` for every
+/// sample (per window on a conv) in one activation.
+fn run_matrix(
+    m: &MatrixStep,
+    mat: &mut MappedMat,
+    xs: &[Tensor],
+    acts: &Batch,
+) -> Result<Batch, EbError> {
+    let n = m.outputs();
+    let pre = match (&m.offsets, acts, m.conv) {
+        (Some(offsets), Batch::Input, conv) => {
+            let mut vals = Vec::with_capacity(xs.len() * m.windows());
+            for x in xs {
+                let q = x.quantize(8);
+                match conv {
+                    None => vals.push(q.iter().map(|&q| i32::from(q) + 127).collect()),
+                    Some(g) => vals.extend(
+                        (0..g.windows())
+                            .map(|wi| extract_window(&q, &g, wi / g.out_width, wi % g.out_width)),
+                    ),
+                }
+            }
+            bit_serial_preacts(mat, &vals, m.weights.cols(), offsets, n)?
+        }
+        (None, Batch::Vectors(vs), None) => popcounts(mat, vs)?,
+        (None, Batch::Maps(ts), Some(g)) => {
+            let rows: Vec<BitVec> = ts
+                .iter()
+                .flat_map(|t| {
+                    let cols = t.im2col(g.kernel, g.stride, g.pad);
+                    (0..cols.rows()).map(move |r| cols.row(r))
+                })
+                .collect();
+            popcounts(mat, &rows)?
+        }
+        _ => return Err(plan_broken()),
+    };
+    Ok(fire(m, &pre))
+}
+
+/// Drives `(x, x̄)` for every drive vector in one batched activation and
+/// returns the XNOR popcounts, one row of outputs per drive, flattened.
+fn popcounts(mat: &mut MappedMat, drives: &[BitVec]) -> Result<Vec<i64>, EbError> {
+    let complements: Vec<BitVec> = drives.iter().map(BitVec::complement).collect();
+    let pairs: Vec<(&BitVec, &BitVec)> = drives.iter().zip(&complements).collect();
+    let counts = mat.activate_pairs(&pairs)?;
+    Ok(counts.into_iter().flatten().map(i64::from).collect())
+}
+
+/// Thresholds the pre-activations — one row of `m.outputs()` per
+/// (sample, window), sample-major — into each sample's output: a binary
+/// vector on a dense layer, a binary map on a conv.
+fn fire(m: &MatrixStep, pre: &[i64]) -> Batch {
+    let n = m.outputs();
+    match m.conv {
+        None => Batch::Vectors(
+            pre.chunks_exact(n)
+                .map(|row| {
+                    row.iter()
+                        .zip(&m.thresholds)
+                        .map(|(&p, t)| t.fire(p))
+                        .collect()
+                })
+                .collect(),
+        ),
+        Some(g) => Batch::Maps(
+            pre.chunks_exact(n * g.windows())
+                .map(|sample| {
+                    let mut out = BitTensor::zeros(n, g.out_height, g.out_width);
+                    for (wi, row) in sample.chunks_exact(n).enumerate() {
+                        for (f, (&p, t)) in row.iter().zip(&m.thresholds).enumerate() {
+                            if t.fire(p) {
+                                out.set(f, wi / g.out_width, wi % g.out_width, true);
+                            }
+                        }
+                    }
+                    out
+                })
+                .collect(),
+        ),
     }
 }
 
@@ -897,22 +710,10 @@ impl Session for AnalogSession {
 
     fn memory(&self) -> SessionMemory {
         // Shared side: programmed crossbar cores plus the Arc'd plan
-        // (dominated by conv offset tables) and binary weight storage.
-        let weight_bits: u64 = self
-            .net
-            .layer_dims()
-            .iter()
-            .map(|d| d.fan_in as u64 * d.out_vectors as u64 * u64::from(d.weight_bits))
-            .sum();
-        let plan_bytes: usize = self.plan.iter().map(LayerExec::bytes).sum();
+        // (weights, and offset tables that dominate on a bit-serial conv).
+        let crossbars: usize = self.mats.iter().map(|m| m.vcore.core_bytes()).sum();
         SessionMemory {
-            core_bytes: self
-                .mats
-                .iter()
-                .map(|m| m.vcore.core_bytes())
-                .sum::<usize>() as u64
-                + weight_bits / 8
-                + plan_bytes as u64,
+            core_bytes: (crossbars + self.plan.bytes()) as u64,
             replica_bytes: self.mats.iter().map(MappedMat::rind_bytes).sum::<usize>() as u64
                 + std::mem::size_of::<Self>() as u64,
         }
@@ -920,19 +721,26 @@ impl Session for AnalogSession {
 }
 
 /// Runs the bit-serial fixed-point lowering for a batch of offset-unsigned
-/// integer vectors (`x' = q + 127 ∈ [0, 254]`, zeros at padding): for each
-/// of the 8 bit planes, drives `(plane, 0)` and `(0, plane)` for every
-/// vector in one batched activation and accumulates the signed,
-/// bit-weighted count difference. Returns a flat `vals.len() × n` buffer
-/// of `Σ x'ᵢ·wᵢ` accumulators (offset correction is the caller's).
-fn bit_serial_acc(
+/// integer vectors (`x' = q + 127 ∈ [0, 254]`, zeros at padding), one per
+/// (sample, window): for each of the 8 bit planes, drives `(plane, 0)` and
+/// `(0, plane)` for every vector in one batched activation and accumulates
+/// the signed, bit-weighted count difference onto the negated `offsets`
+/// of the vector's window (`n` per window, cycling). Returns a flat
+/// `vals.len() × n` buffer of signed pre-activations `Σ qᵢ·wᵢ`.
+fn bit_serial_preacts(
     mat: &mut MappedMat,
     vals: &[Vec<i32>],
     fan_in: usize,
+    offsets: &[i64],
     n: usize,
 ) -> Result<Vec<i64>, EbError> {
     let zero = BitVec::zeros(fan_in);
-    let mut acc = vec![0i64; vals.len() * n];
+    let mut acc: Vec<i64> = offsets
+        .iter()
+        .cycle()
+        .take(vals.len() * n)
+        .map(|o| -o)
+        .collect();
     for b in 0..8u32 {
         let planes: Vec<BitVec> = vals
             .iter()
@@ -954,133 +762,21 @@ fn bit_serial_acc(
     Ok(acc)
 }
 
-/// `127·Σwⱼ` per weight row — the digital constant that converts the
-/// offset-unsigned accumulator back to the signed pre-activation.
-fn dense_offsets(weights: &BitMatrix) -> Vec<i64> {
-    (0..weights.rows())
-        .map(|r| {
-            let pop = i64::from(weights.row(r).popcount());
-            127 * (2 * pop - weights.cols() as i64)
-        })
-        .collect()
-}
-
-/// Walks the filter positions of window `(oy, ox)` that land inside the
-/// (unpadded) input, yielding `(filter_index, input_index)` into the
-/// flattened `c·k·k` filter row and `c·h·w` input map. This is the one
-/// copy of the conv boundary logic; the per-window offsets and the window
-/// extraction must agree on it exactly for padded convs to stay
-/// bit-exact.
-fn for_each_valid_pos(g: &ConvGeom, oy: usize, ox: usize, mut f: impl FnMut(usize, usize)) {
-    for ci in 0..g.c {
-        for ky in 0..g.k {
-            for kx in 0..g.k {
-                let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                if iy < 0 || ix < 0 || iy as usize >= g.h || ix as usize >= g.w {
-                    continue;
-                }
-                f(
-                    (ci * g.k + ky) * g.k + kx,
-                    (ci * g.h + iy as usize) * g.w + ix as usize,
-                );
-            }
-        }
-    }
-}
-
-/// Per-window offsets: `127·Σw` restricted to filter positions that land
-/// inside the (unpadded) input — padding positions never carry the `+127`
-/// quantization offset.
-fn conv_window_offsets(filters: &BitMatrix, g: &ConvGeom) -> Vec<Vec<i64>> {
-    let mut out = Vec::with_capacity(g.oh * g.ow);
-    for oy in 0..g.oh {
-        for ox in 0..g.ow {
-            let mut sums = vec![0i64; filters.rows()];
-            for_each_valid_pos(g, oy, ox, |fi, _| {
-                for (f, sum) in sums.iter_mut().enumerate() {
-                    *sum += if filters.get(f, fi) == Some(true) {
-                        1
-                    } else {
-                        -1
-                    };
-                }
-            });
-            out.push(sums.into_iter().map(|s| 127 * s).collect());
-        }
-    }
-    out
-}
-
 /// Extracts one offset-unsigned conv window: valid positions read
 /// `q + 127`, padding stays 0 (matching the simulator's `Window`
 /// instruction over the offset input register).
-fn extract_window(q: &[i16], g: &ConvGeom, oy: usize, ox: usize) -> Vec<i32> {
-    let mut v = vec![0i32; g.c * g.k * g.k];
-    for_each_valid_pos(g, oy, ox, |fi, ii| {
+fn extract_window(q: &[i16], g: &ConvGeometry, oy: usize, ox: usize) -> Vec<i32> {
+    let mut v = vec![0i32; g.channels * g.kernel * g.kernel];
+    g.for_each_valid_pos(oy, ox, |fi, ii| {
         v[fi] = i32::from(q[ii]) + 127;
     });
     v
 }
 
-fn conv_geom(
-    input: Shape,
-    in_channels: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-) -> Result<ConvGeom, EbError> {
-    match input {
-        Shape::Img(c, h, w) if c == in_channels => {
-            let (oh, ow) = conv_output_dims(h, w, k, stride, pad);
-            Ok(ConvGeom {
-                c,
-                h,
-                w,
-                k,
-                stride,
-                pad,
-                oh,
-                ow,
-            })
-        }
-        other => Err(EbError::Config(format!(
-            "conv layer expects a {in_channels}-channel image, got shape {other}"
-        ))),
-    }
-}
-
-fn expect_input(st: &AnalogAct) -> Result<(), EbError> {
-    match st {
-        AnalogAct::Input => Ok(()),
-        _ => Err(EbError::Config(
-            "fixed-point layer used after the first layer".into(),
-        )),
-    }
-}
-
-fn expect_bin(st: &AnalogAct) -> Result<&BitVec, EbError> {
-    match st {
-        AnalogAct::Bin(x) => Ok(x),
-        _ => Err(EbError::Config(
-            "binary dense/output layer fed a non-flat activation".into(),
-        )),
-    }
-}
-
-fn expect_map(st: &AnalogAct) -> Result<&BitTensor, EbError> {
-    match st {
-        AnalogAct::Map(t) => Ok(t),
-        _ => Err(EbError::Config(
-            "spatial layer fed a non-image activation".into(),
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eb_bitnn::{BinConv, BinLinear, FixedConv, FixedLinear, OutputLinear};
+    use eb_bitnn::{BinConv, BinLinear, FixedConv, FixedLinear, Layer, OutputLinear, Shape};
     use rand::Rng;
 
     fn mlp(seed: u64) -> Bnn {

@@ -158,8 +158,14 @@ impl From<OpticalMapError> for EbError {
 }
 
 impl From<CompileError> for EbError {
+    /// A network the crossbar lowering cannot host, or programmed state
+    /// that does not fit it, is a configuration error (see
+    /// [`EbError::Config`]); mapping failures stay compile errors.
     fn from(e: CompileError) -> Self {
-        Self::Compile(e)
+        match e {
+            CompileError::Unsupported(msg) => Self::Config(msg),
+            e => Self::Compile(e),
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! inference the design's modeled latency/energy from one dry run of the
 //! compiled program on a [`Machine`].
 
-use crate::analog::{serve_programmed, AnalogSession, MappedMat};
+use crate::analog::{AnalogSession, MappedMat};
 use crate::artifacts::captured_meta;
 use crate::error::EbError;
 use crate::session::{mint_replicas, Backend, NoiseProfile, Session, SessionOpts};
@@ -130,12 +130,12 @@ impl SimulatorBackend {
         Ok((compiled, StdRng::from_state(rng_state)))
     }
 
-    /// Serves `compiled` through the batched lowering. Each matrix
-    /// layer's execution RNG is seeded from one draw of `rng`, the RNG
+    /// Serves `compiled` through the batched lowering, walking the layer
+    /// plan it was compiled from over its vcores. Each matrix layer's
+    /// execution RNG is seeded from one draw of `rng`, the RNG
     /// compilation left behind, in network order.
     fn serve_compiled(
         &self,
-        net: &Bnn,
         compiled: CompiledNetwork,
         mut rng: StdRng,
     ) -> Result<AnalogSession, EbError> {
@@ -143,8 +143,9 @@ impl SimulatorBackend {
         let mats = compiled
             .vcores
             .into_iter()
-            .map(|vcore| MappedMat::new(vcore, StdRng::seed_from_u64(rng.gen())));
-        Ok(serve_programmed(net, "simulator", mats)?.charged(ledger))
+            .map(|vcore| MappedMat::new(vcore, StdRng::seed_from_u64(rng.gen())))
+            .collect();
+        Ok(AnalogSession::new("simulator", compiled.plan, mats).charged(ledger))
     }
 
     /// The modeled cost of one inference: the statistics of one run of
@@ -154,7 +155,7 @@ impl SimulatorBackend {
     fn ledger(&self, compiled: &CompiledNetwork) -> Result<SimStats, EbError> {
         let mut machine =
             Machine::new(compiled.replicate(), &self.design, StdRng::seed_from_u64(0));
-        machine.run(&Tensor::zeros(&[compiled.input_shape.len()]))?;
+        machine.run(&Tensor::zeros(&[compiled.plan.input_shape().len()]))?;
         Ok(machine.stats().clone())
     }
 }
@@ -179,7 +180,7 @@ impl Backend for SimulatorBackend {
             Some(prepared) => self.restore_compiled(net, opts, prepared)?,
             None => self.compile_fresh(net, opts)?,
         };
-        let base = self.serve_compiled(net, compiled, rng)?;
+        let base = self.serve_compiled(compiled, rng)?;
         Ok(mint_replicas(
             base,
             opts.noise.seed,

@@ -13,7 +13,9 @@ use einstein_barrier::bitnn::{
     OutputLinear, Shape, Tensor, TrainConfig,
 };
 use einstein_barrier::core::{compile, Design, DesignKind, Machine};
-use einstein_barrier::{BackendKind, NoiseConfig, NoiseProfile, Runtime, SimulatorBackend};
+use einstein_barrier::{
+    BackendKind, EbError, NoiseConfig, NoiseProfile, Runtime, SimulatorBackend,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -144,6 +146,43 @@ fn stats_expose_substrate_counters() {
     sim.infer(&xs[0]).unwrap();
     let s = sim.stats();
     assert!(s.latency_ns > 0.0 && s.energy_j > 0.0);
+}
+
+/// Layer stacks whose shapes chain (so `Bnn::new` accepts them) but whose
+/// activation kinds do not are rejected when a crossbar backend prepares,
+/// as a configuration error, instead of failing every later request.
+#[test]
+fn crossbar_backends_reject_unchained_layer_kinds_at_prepare() {
+    let mut rng = StdRng::seed_from_u64(41);
+    let fixed = |rng: &mut StdRng| Layer::FixedLinear(FixedLinear::random("fx", 8, 8, rng));
+    let binary = |rng: &mut StdRng| Layer::BinLinear(BinLinear::random("bin", 8, 8, rng));
+    let output = |rng: &mut StdRng| Layer::Output(OutputLinear::random("out", 8, 2, rng));
+    let misfits = [
+        (
+            "fixed-point after layer 0",
+            vec![fixed(&mut rng), fixed(&mut rng), output(&mut rng)],
+        ),
+        (
+            "binary layer fed the real input",
+            vec![binary(&mut rng), output(&mut rng)],
+        ),
+        ("no output layer", vec![fixed(&mut rng), binary(&mut rng)]),
+    ];
+    for (what, layers) in misfits {
+        let net = Bnn::new(what, Shape::Flat(8), layers).unwrap();
+        for kind in [
+            BackendKind::Epcm,
+            BackendKind::Photonic,
+            BackendKind::Simulator,
+        ] {
+            let got = Runtime::builder().backend(kind).prepare(&net);
+            assert!(
+                matches!(got, Err(EbError::Config(_))),
+                "{kind}, {what}: {:?}",
+                got.err()
+            );
+        }
+    }
 }
 
 /// A small random MLP whose bit-serial first layer spans two 128-row
