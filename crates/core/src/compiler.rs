@@ -275,15 +275,17 @@ pub fn compile(
     let vcores = plan
         .matrices()
         .map(|m| {
-            Ok(match design.kind {
-                DesignKind::EinsteinBarrier => MappedVcore::Optical(OpticalTacitMapped::program(
+            Ok(match wdm_lanes(design) {
+                Some(k) => MappedVcore::Optical(OpticalTacitMapped::program(
                     &m.weights,
                     design.xbar.rows,
                     design.xbar.cols,
-                    design.wdm_capacity.max(1),
+                    k,
                     rng,
                 )?),
-                _ => MappedVcore::Electronic(TacitMapped::program(&m.weights, &design.xbar, rng)?),
+                None => {
+                    MappedVcore::Electronic(TacitMapped::program(&m.weights, &design.xbar, rng)?)
+                }
             })
         })
         .collect::<Result<_, CompileError>>()?;
