@@ -315,9 +315,10 @@ fn prepared_summary(p: &Prepared) -> PreparedSummary {
     let detail = match &p.state {
         PreparedState::Epcm(mats) => format!("{} programmed electronic layer(s)", mats.len()),
         PreparedState::Photonic(mats) => format!("{} programmed optical layer(s)", mats.len()),
-        PreparedState::Simulator { vcores, .. } => format!(
-            "{} programmed simulator vcore(s); program recompiled on load",
-            vcores.len()
+        PreparedState::Simulator { fingerprint, mats } => format!(
+            "{} programmed {} layer(s); cost ledger recompiled on load",
+            mats.len(),
+            fingerprint.kind
         ),
     };
     PreparedSummary {

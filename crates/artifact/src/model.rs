@@ -374,6 +374,45 @@ mod tests {
         ));
     }
 
+    /// A checksum-valid container whose model section holds `layer` alone
+    /// over `input`, written field by field so `Bnn::new` never sees it.
+    fn crafted_container(input: Shape, layer: &Layer) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_str("crafted");
+        put_shape(&mut w, input);
+        w.put_u32(1);
+        put_layer(&mut w, layer).unwrap();
+        crate::format::encode_container(&[(crate::SECTION_MODEL, w.into_inner())])
+    }
+
+    fn assert_shape_check_fails(bytes: &[u8]) {
+        let err = crate::decode(bytes).unwrap_err();
+        assert!(
+            matches!(&err, ArtifactError::Malformed { context } if context.contains("kernel")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn stride_zero_conv_is_malformed_not_a_panic() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let conv = FixedConv::random("c1", 1, 2, 3, 0, 1, &mut rng);
+        assert_shape_check_fails(&crafted_container(
+            Shape::Img(1, 4, 4),
+            &Layer::FixedConv(conv),
+        ));
+    }
+
+    #[test]
+    fn kernel_larger_than_padded_input_is_malformed_not_a_panic() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let conv = BinConv::random("c1", 1, 2, 5, 1, 1, &mut rng);
+        assert_shape_check_fails(&crafted_container(
+            Shape::Img(1, 2, 2),
+            &Layer::BinConv(conv),
+        ));
+    }
+
     #[test]
     fn truncated_model_is_truncated() {
         let bytes = encode_model(&conv_net()).unwrap();

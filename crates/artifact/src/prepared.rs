@@ -31,7 +31,10 @@ const BACKEND_PHOTONIC: u8 = 2;
 /// The retired simulator layout, which stored the whole compiled network
 /// (program, tables, placements) rather than just its programmed vcores.
 const BACKEND_SIMULATOR_COMPILED: u8 = 3;
-const BACKEND_SIMULATOR: u8 = 4;
+/// The retired simulator layout, which stored the vcores the compiler
+/// programmed from one session-seeded RNG plus that RNG's state.
+const BACKEND_SIMULATOR_VCORES: u8 = 4;
+const BACKEND_SIMULATOR: u8 = 5;
 
 /// Which backend captured a prepared-state section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,12 +74,13 @@ pub struct PreparedMeta {
     pub fault: Option<FaultConfig>,
 }
 
-/// One programmed matrix layer of an ePCM or photonic session: its
-/// crossbars plus the owning session's RNG position and WDM-lane counter.
+/// One programmed matrix layer of a crossbar session: its crossbars plus
+/// the owning session's RNG position and WDM-lane counter.
 #[derive(Debug)]
 pub struct PreparedMat {
     /// The programmed crossbars: electronic under
-    /// [`PreparedState::Epcm`], optical under [`PreparedState::Photonic`].
+    /// [`PreparedState::Epcm`], optical under [`PreparedState::Photonic`],
+    /// and the design's substrate under [`PreparedState::Simulator`].
     pub vcore: MappedVcore,
     /// RNG state for subsequent device/receiver draws.
     pub rng_state: [u64; 4],
@@ -111,6 +115,13 @@ impl DesignFingerprint {
         }
     }
 
+    /// Whether the design computes on optical crossbars — EinsteinBarrier,
+    /// the design kind `eb_core::compile` maps onto WDM lanes — which
+    /// decides the substrate of a simulator snapshot's layers.
+    fn optical(&self) -> bool {
+        self.kind == DesignKind::EinsteinBarrier
+    }
+
     /// Whether a design matches this fingerprint.
     pub fn matches(&self, design: &Design) -> bool {
         self.kind == design.kind
@@ -127,16 +138,15 @@ pub enum PreparedState {
     Epcm(Vec<PreparedMat>),
     /// One optical matrix layer per matrix layer of the network.
     Photonic(Vec<PreparedMat>),
-    /// The simulator's programmed vcores. Everything else the compiler
-    /// derives (program, threshold tables, placements) is recompiled from
-    /// the artifact's model section on restore.
+    /// One matrix layer per matrix layer of the network, on the
+    /// simulated design's substrate, plus the design it was programmed
+    /// for. The compiled program the simulator charges is derived again
+    /// from the artifact's model section on restore.
     Simulator {
-        /// Design the network was compiled for.
+        /// Design the layers were programmed for.
         fingerprint: Box<DesignFingerprint>,
-        /// One programmed vcore per matrix layer, in network order.
-        vcores: Vec<MappedVcore>,
-        /// RNG state after compilation/programming.
-        rng_state: [u64; 4],
+        /// One matrix layer per matrix layer of the network.
+        mats: Vec<PreparedMat>,
     },
 }
 
@@ -430,16 +440,6 @@ fn get_tacitmapped(r: &mut ByteReader<'_>) -> Result<TacitMapped, ArtifactError>
         .map_err(|e| ArtifactError::malformed(format!("tacitmap mapping: {e}")))
 }
 
-fn put_rng_state(w: &mut ByteWriter, s: [u64; 4]) {
-    for v in s {
-        w.put_u64(v);
-    }
-}
-
-fn get_rng_state(r: &mut ByteReader<'_>) -> Result<[u64; 4], ArtifactError> {
-    Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
-}
-
 fn put_opcm_params(w: &mut ByteWriter, p: &OpcmParams) {
     w.put_f64(p.t_high);
     w.put_f64(p.t_low);
@@ -638,43 +638,16 @@ fn get_fingerprint(r: &mut ByteReader<'_>) -> Result<DesignFingerprint, Artifact
     })
 }
 
-fn put_vcores(w: &mut ByteWriter, vcores: &[MappedVcore]) {
-    w.put_u32(vcores.len() as u32);
-    for vcore in vcores {
-        match vcore {
-            MappedVcore::Electronic(m) => {
-                w.put_u8(0);
-                put_tacitmapped(w, m);
-            }
-            MappedVcore::Optical(m) => {
-                w.put_u8(1);
-                put_optical(w, m);
-            }
-        }
-    }
-}
-
-fn get_vcores(r: &mut ByteReader<'_>) -> Result<Vec<MappedVcore>, ArtifactError> {
-    let count = r.count(1)?;
-    let mut vcores = Vec::with_capacity(count);
-    for _ in 0..count {
-        vcores.push(match r.u8()? {
-            0 => MappedVcore::Electronic(get_tacitmapped(r)?),
-            1 => MappedVcore::Optical(get_optical(r)?),
-            tag => return Err(ArtifactError::malformed(format!("vcore tag {tag}"))),
-        });
-    }
-    Ok(vcores)
-}
-
-/// Writes the matrix layers of an ePCM (`optical = false`) or photonic
-/// session: per layer the RNG state, then (photonic only) the lane
-/// count, then the mapping. A layer on the other substrate has no
-/// encoding under this tag.
+/// Writes the matrix layers of a session on electronic (`optical =
+/// false`) or optical crossbars: per layer the RNG state, then (optical
+/// only) the lane count, then the mapping. A layer on the other substrate
+/// has no encoding here.
 fn put_mats(w: &mut ByteWriter, mats: &[PreparedMat], optical: bool) -> Result<(), ArtifactError> {
     w.put_u32(mats.len() as u32);
     for mat in mats {
-        put_rng_state(w, mat.rng_state);
+        for v in mat.rng_state {
+            w.put_u64(v);
+        }
         match (&mat.vcore, optical) {
             (MappedVcore::Electronic(m), false) => put_tacitmapped(w, m),
             (MappedVcore::Optical(m), true) => {
@@ -683,8 +656,8 @@ fn put_mats(w: &mut ByteWriter, mats: &[PreparedMat], optical: bool) -> Result<(
             }
             _ => {
                 return Err(ArtifactError::malformed(format!(
-                    "{} prepared state holds a layer on the other substrate",
-                    if optical { "photonic" } else { "epcm" }
+                    "prepared state for {} crossbars holds a layer on the other substrate",
+                    if optical { "optical" } else { "electronic" }
                 )))
             }
         }
@@ -697,7 +670,7 @@ fn get_mats(r: &mut ByteReader<'_>, optical: bool) -> Result<Vec<PreparedMat>, A
     let count = r.count(if optical { 40 } else { 61 })?;
     let mut mats = Vec::with_capacity(count);
     for _ in 0..count {
-        let rng_state = get_rng_state(r)?;
+        let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         let (lanes, vcore) = if optical {
             (r.u64()?, MappedVcore::Optical(get_optical(r)?))
         } else {
@@ -738,14 +711,9 @@ pub(crate) fn encode_prepared(p: &Prepared) -> Result<Vec<u8>, ArtifactError> {
     match &p.state {
         PreparedState::Epcm(mats) => put_mats(&mut w, mats, false)?,
         PreparedState::Photonic(mats) => put_mats(&mut w, mats, true)?,
-        PreparedState::Simulator {
-            fingerprint,
-            vcores,
-            rng_state,
-        } => {
+        PreparedState::Simulator { fingerprint, mats } => {
             put_fingerprint(&mut w, fingerprint);
-            put_rng_state(&mut w, *rng_state);
-            put_vcores(&mut w, vcores);
+            put_mats(&mut w, mats, fingerprint.optical())?;
         }
     }
     Ok(w.into_inner())
@@ -758,10 +726,9 @@ pub(crate) fn decode_prepared(payload: &[u8]) -> Result<Prepared, ArtifactError>
         BACKEND_EPCM => PreparedBackend::Epcm,
         BACKEND_PHOTONIC => PreparedBackend::Photonic,
         BACKEND_SIMULATOR => PreparedBackend::Simulator,
-        BACKEND_SIMULATOR_COMPILED => {
+        tag @ (BACKEND_SIMULATOR_COMPILED | BACKEND_SIMULATOR_VCORES) => {
             return Err(ArtifactError::malformed(format!(
-                "backend tag {BACKEND_SIMULATOR_COMPILED} is the retired simulator snapshot \
-                 layout that stored the compiled program; re-export the artifact"
+                "backend tag {tag} is a retired simulator snapshot layout; re-export the artifact"
             )))
         }
         tag => return Err(ArtifactError::malformed(format!("backend tag {tag}"))),
@@ -778,13 +745,8 @@ pub(crate) fn decode_prepared(payload: &[u8]) -> Result<Prepared, ArtifactError>
         PreparedBackend::Photonic => PreparedState::Photonic(get_mats(&mut r, true)?),
         PreparedBackend::Simulator => {
             let fingerprint = Box::new(get_fingerprint(&mut r)?);
-            let rng_state = get_rng_state(&mut r)?;
-            let vcores = get_vcores(&mut r)?;
-            PreparedState::Simulator {
-                fingerprint,
-                vcores,
-                rng_state,
-            }
+            let mats = get_mats(&mut r, fingerprint.optical())?;
+            PreparedState::Simulator { fingerprint, mats }
         }
     };
     r.finish()?;
@@ -880,11 +842,20 @@ mod tests {
         assert_eq!(mats[0].vcore.wdm_capacity(), Some(4));
     }
 
-    fn simulator_state() -> Prepared {
+    /// One optical and one electronic programmed layer.
+    fn vcores() -> (MappedVcore, MappedVcore) {
         let mut rng = StdRng::seed_from_u64(6);
         let optical = OpticalTacitMapped::program(&weights(6, 12, 3), 16, 16, 4, &mut rng).unwrap();
         let electronic =
             TacitMapped::program(&weights(4, 6, 4), &XbarConfig::new(16, 16), &mut rng).unwrap();
+        (
+            MappedVcore::Optical(optical),
+            MappedVcore::Electronic(electronic),
+        )
+    }
+
+    /// A simulator snapshot of `design` holding one layer, `vcore`.
+    fn simulator_state(design: &Design, vcore: MappedVcore) -> Prepared {
         Prepared {
             meta: PreparedMeta {
                 backend: PreparedBackend::Simulator,
@@ -894,81 +865,92 @@ mod tests {
                 fault: None,
             },
             state: PreparedState::Simulator {
-                fingerprint: Box::new(DesignFingerprint::of(&Design::einstein_barrier())),
-                vcores: vec![
-                    MappedVcore::Optical(optical),
-                    MappedVcore::Electronic(electronic),
-                ],
-                rng_state: [5, 6, 7, 8],
+                fingerprint: Box::new(DesignFingerprint::of(design)),
+                mats: vec![PreparedMat {
+                    vcore,
+                    rng_state: [5, 6, 7, 8],
+                    lanes: 3,
+                }],
             },
         }
     }
 
     #[test]
-    fn simulator_state_round_trips_vcores_and_rng() {
-        let back = roundtrip(&simulator_state());
-        let PreparedState::Simulator {
-            fingerprint,
-            vcores,
-            rng_state,
-        } = &back.state
-        else {
-            panic!("state kind changed across round trip");
-        };
-        assert!(fingerprint.matches(&Design::einstein_barrier()));
-        assert_eq!(*rng_state, [5, 6, 7, 8]);
-        assert_eq!(vcores.len(), 2);
-        assert!(matches!(&vcores[0], MappedVcore::Optical(m) if m.capacity() == 4));
-        assert!(matches!(&vcores[1], MappedVcore::Electronic(m) if m.fan_in() == 6));
-        assert_eq!(vcores[0].out_vectors(), 6);
-        assert_eq!(vcores[1].out_vectors(), 4);
+    fn simulator_state_round_trips_layers_on_the_design_substrate() {
+        let (optical, electronic) = vcores();
+        for (design, vcore) in [
+            (Design::einstein_barrier(), optical),
+            (Design::tacitmap_epcm(), electronic),
+        ] {
+            let back = roundtrip(&simulator_state(&design, vcore));
+            let PreparedState::Simulator { fingerprint, mats } = &back.state else {
+                panic!("state kind changed across round trip");
+            };
+            assert!(fingerprint.matches(&design), "{}", design.kind);
+            assert_eq!(mats.len(), 1);
+            assert_eq!(mats[0].rng_state, [5, 6, 7, 8]);
+            if design.kind == DesignKind::EinsteinBarrier {
+                assert!(matches!(&mats[0].vcore, MappedVcore::Optical(m) if m.capacity() == 4));
+                assert_eq!(mats[0].lanes, 3);
+                assert_eq!(mats[0].vcore.out_vectors(), 6);
+            } else {
+                // Electronic layers carry, and store, no lane count.
+                assert!(matches!(&mats[0].vcore, MappedVcore::Electronic(m) if m.fan_in() == 6));
+                assert_eq!(mats[0].lanes, 0);
+                assert_eq!(mats[0].vcore.out_vectors(), 4);
+            }
+        }
     }
 
     #[test]
     fn retired_simulator_tag_asks_for_a_reexport() {
-        let mut bytes = encode_prepared(&simulator_state()).unwrap();
+        let state = simulator_state(&Design::einstein_barrier(), vcores().0);
+        let mut bytes = encode_prepared(&state).unwrap();
         assert_eq!(bytes[0], BACKEND_SIMULATOR);
-        bytes[0] = BACKEND_SIMULATOR_COMPILED;
-        let err = decode_prepared(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, ArtifactError::Malformed { context } if context.contains("re-export")),
-            "{err}"
-        );
+        for tag in [BACKEND_SIMULATOR_COMPILED, BACKEND_SIMULATOR_VCORES] {
+            bytes[0] = tag;
+            let err = decode_prepared(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, ArtifactError::Malformed { context } if context.contains("re-export")),
+                "tag {tag}: {err}"
+            );
+        }
     }
 
     #[test]
     fn layer_on_the_wrong_substrate_for_its_tag_is_malformed() {
-        let PreparedState::Simulator { vcores, .. } = simulator_state().state else {
-            unreachable!()
-        };
-        let [optical, electronic] = <[MappedVcore; 2]>::try_from(vcores).unwrap();
-        for (backend, vcore) in [
-            (PreparedBackend::Epcm, optical),
-            (PreparedBackend::Photonic, electronic),
-        ] {
-            let mats = vec![PreparedMat {
+        let layer = |vcore| {
+            vec![PreparedMat {
                 vcore,
                 rng_state: [1, 2, 3, 4],
                 lanes: 0,
-            }];
-            let state = match backend {
-                PreparedBackend::Epcm => PreparedState::Epcm(mats),
-                _ => PreparedState::Photonic(mats),
-            };
-            let p = Prepared {
-                meta: PreparedMeta {
-                    backend,
-                    seed: 0,
-                    noisy: false,
-                    drift_t_ratio: None,
-                    fault: None,
-                },
-                state,
-            };
+            }]
+        };
+        let meta = |backend| PreparedMeta {
+            backend,
+            seed: 0,
+            noisy: false,
+            drift_t_ratio: None,
+            fault: None,
+        };
+        let (optical, electronic) = vcores();
+        let (optical_too, electronic_too) = vcores();
+        for p in [
+            Prepared {
+                meta: meta(PreparedBackend::Epcm),
+                state: PreparedState::Epcm(layer(optical)),
+            },
+            Prepared {
+                meta: meta(PreparedBackend::Photonic),
+                state: PreparedState::Photonic(layer(electronic)),
+            },
+            simulator_state(&Design::einstein_barrier(), electronic_too),
+            simulator_state(&Design::tacitmap_epcm(), optical_too),
+        ] {
             assert!(
                 matches!(encode_prepared(&p), Err(ArtifactError::Malformed { .. })),
                 "{}",
-                backend.name()
+                p.meta.backend.name()
             );
         }
     }

@@ -934,6 +934,23 @@ impl Layer {
                 self.name()
             )))
         };
+        // A conv slides its kernel at a positive stride over an input
+        // that, padded, holds at least one window.
+        let conv =
+            |in_channels: usize, filters: usize, k: usize, stride: usize, pad: usize| match input {
+                Shape::Img(c, h, w) if c == in_channels => {
+                    if stride == 0 || h + 2 * pad < k || w + 2 * pad < k {
+                        return Err(BitnnError::InvalidNetwork(format!(
+                            "layer `{}` cannot slide a {k}×{k} kernel at stride {stride} over \
+                             shape {input} padded by {pad}",
+                            self.name()
+                        )));
+                    }
+                    let (oh, ow) = conv_output_dims(h, w, k, stride, pad);
+                    Ok(Shape::Img(filters, oh, ow))
+                }
+                _ => bad(&format!("{in_channels}×H×W")),
+            };
         match self {
             Self::FixedLinear(l) => {
                 if input.len() != l.weights.cols() {
@@ -947,20 +964,8 @@ impl Layer {
                 }
                 Ok(Shape::Flat(l.weights.rows()))
             }
-            Self::FixedConv(l) => match input {
-                Shape::Img(c, h, w) if c == l.in_channels => {
-                    let (oh, ow) = conv_output_dims(h, w, l.kernel, l.stride, l.pad);
-                    Ok(Shape::Img(l.filters.rows(), oh, ow))
-                }
-                _ => bad(&format!("{}×H×W", l.in_channels)),
-            },
-            Self::BinConv(l) => match input {
-                Shape::Img(c, h, w) if c == l.in_channels => {
-                    let (oh, ow) = conv_output_dims(h, w, l.kernel, l.stride, l.pad);
-                    Ok(Shape::Img(l.filters.rows(), oh, ow))
-                }
-                _ => bad(&format!("{}×H×W", l.in_channels)),
-            },
+            Self::FixedConv(l) => conv(l.in_channels, l.filters.rows(), l.kernel, l.stride, l.pad),
+            Self::BinConv(l) => conv(l.in_channels, l.filters.rows(), l.kernel, l.stride, l.pad),
             Self::MaxPool2 => match input {
                 Shape::Img(c, h, w) => Ok(Shape::Img(c, h / 2, w / 2)),
                 Shape::Flat(_) => bad("image"),

@@ -275,7 +275,7 @@ fn thread_chunks<T>(items: &[T]) -> Vec<&[T]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{BinLinear, FixedLinear, OutputLinear};
+    use crate::layers::{BinLinear, FixedConv, FixedLinear, OutputLinear};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -323,6 +323,24 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, BitnnError::InvalidNetwork(_)));
+    }
+
+    #[test]
+    fn convs_that_fit_no_window_are_rejected_not_panics() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for (what, conv) in [
+            ("stride 0", FixedConv::random("c", 1, 2, 3, 0, 1, &mut rng)),
+            (
+                "kernel past padding",
+                FixedConv::random("c", 1, 2, 5, 1, 1, &mut rng),
+            ),
+        ] {
+            let err = Bnn::new("bad", Shape::Img(1, 2, 2), vec![Layer::FixedConv(conv)]);
+            assert!(
+                matches!(err, Err(BitnnError::InvalidNetwork(_))),
+                "{what}: {err:?}"
+            );
+        }
     }
 
     #[test]

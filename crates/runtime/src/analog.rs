@@ -1,42 +1,43 @@
-//! The one batched crossbar lowering: whole networks executed layer by
-//! layer on simulated crossbars, shared by every crossbar backend — the
-//! electronic (TacitMap-ePCM) and photonic (oPCM + WDM) substrates here,
-//! and the simulator backend, which serves the vcores the `eb-core`
-//! compiler programmed through this same [`AnalogSession`].
+//! The one crossbar backend body and the one batched crossbar lowering,
+//! shared by every crossbar backend. [`EpcmBackend`] (TacitMap-ePCM),
+//! [`PhotonicBackend`] (oPCM + WDM) and the simulator backend are named
+//! configurations of one private [`Crossbar`] body: a backend name plus a
+//! substrate, electronic under an [`XbarConfig`] or optical at
+//! `(rows, cols, K)`.
 //!
-//! A session walks the network's [`LayerPlan`] — the `eb-core` type that
-//! derives the lowering's per-layer constants once (matrix and layer
-//! indices, conv geometry, the `127·Σw` offset tables) and that the
-//! compiler emits its instruction stream from. Restoring prepared state
-//! runs the plan's one fit check ([`LayerPlan::check_fit`]), which
-//! `eb_core::recompile` runs too.
+//! The body programs, restores and exports one way for all three. Every
+//! matrix layer is programmed from its own [`layer_seed`] RNG, which the
+//! session keeps for that layer's execution noise; the noisy profile
+//! programs electronic crossbars with noisy devices and gives optical ones
+//! the noisy receiver; drift and faults apply on electronic crossbars.
+//! Restore and export move the programmed layers verbatim as
+//! [`PreparedMat`]s, and restore runs the layer plan's one fit check
+//! ([`LayerPlan::check_fit`]), which `eb_core::recompile` runs too.
 //!
-//! Every backend holds a programmed matrix layer as the compiler's
-//! [`MappedVcore`] plus the execution RNG and WDM-lane counter its
-//! session keeps ([`MappedMat`]); the electronic-vs-optical dispatch is
-//! written once, on `MappedVcore`. The ePCM and photonic backends differ
-//! only in how they program a layer and which crossbar geometry a
-//! restored artifact must match: restore (`restore_session`) and export
-//! (`export_session`) share one body each.
-//!
-//! Binary layers drive `(x, x̄)` and read every XNOR popcount in one
-//! activation; fixed-point first layers run bit-serially over the
-//! offset-unsigned planes of `x' = q + 127`, with the plan's per-output
-//! (or per-window) quantization offset subtracted digitally; pooling,
-//! flatten, and the real-valued output layer run on the (software)
-//! scalar unit, where the compiled program runs them on the ECore vector
-//! FU. In noiseless configurations every session is bit-exact against
-//! the software reference and the compiler's `Machine`.
+//! A session walks the network's [`LayerPlan`], the `eb-core` type that
+//! derives the lowering's per-layer constants once and that the compiler
+//! emits its instruction stream from. Each programmed layer is the
+//! compiler's [`MappedVcore`], where the electronic-vs-optical dispatch is
+//! written once, plus its execution RNG and WDM-lane counter
+//! ([`MappedMat`]). Binary layers drive `(x, x̄)` and read every XNOR
+//! popcount in one activation; fixed-point first layers run bit-serially
+//! over the offset-unsigned planes of `x' = q + 127`, with the plan's
+//! per-output (or per-window) quantization offset subtracted digitally;
+//! pooling, flatten, and the real-valued output layer run on the
+//! (software) scalar unit, where the compiled program runs them on the
+//! ECore vector FU. In noiseless configurations every session is
+//! bit-exact against the software reference and the compiler's `Machine`.
 
 use crate::artifacts::captured_meta;
 use crate::error::EbError;
 use crate::session::{
-    mint_replicas, Backend, NoiseProfile, Session, SessionMemory, SessionOpts, SessionStats,
+    Backend, NoiseConfig, NoiseProfile, Session, SessionMemory, SessionOpts, SessionStats,
 };
 use eb_artifact::{Prepared, PreparedBackend, PreparedMat, PreparedState};
 use eb_bitnn::{BitTensor, BitVec, Bnn, Tensor};
 use eb_core::{
-    ConvGeometry, LayerPlan, MappedVcore, MatrixStep, OpticalTacitMapped, SimStats, Step,
+    ConvGeometry, Design, DesignKind, LayerPlan, MappedVcore, MatrixStep, OpticalTacitMapped,
+    SimStats, Step,
 };
 use eb_mapping::TacitMapped;
 use eb_photonics::{Receiver, PAPER_WDM_CAPACITY};
@@ -55,19 +56,15 @@ use std::time::Instant;
 /// involved: same `(network, config, seed)` ⇒ identical outputs, noisy
 /// devices included.
 #[derive(Debug, Clone)]
-pub struct EpcmBackend {
-    cfg: XbarConfig,
-}
+pub struct EpcmBackend(Crossbar);
 
 impl EpcmBackend {
     /// A backend over explicit crossbar geometry/periphery.
     pub fn new(cfg: XbarConfig) -> Self {
-        Self { cfg }
-    }
-
-    /// The crossbar configuration sessions are programmed with.
-    pub fn config(&self) -> &XbarConfig {
-        &self.cfg
+        Self(Crossbar {
+            kind: PreparedBackend::Epcm,
+            substrate: Substrate::Electronic(cfg),
+        })
     }
 }
 
@@ -75,36 +72,6 @@ impl Default for EpcmBackend {
     /// Paper-class 256×256 1T1R crossbars with ideal devices.
     fn default() -> Self {
         Self::new(XbarConfig::new(256, 256))
-    }
-}
-
-impl EpcmBackend {
-    /// Programs every matrix layer of `net` onto fresh crossbars — the
-    /// shared body under [`Backend::prepare_replicas`] and
-    /// [`Backend::export_prepared`].
-    fn program_session(&self, net: &Bnn, opts: &SessionOpts) -> Result<AnalogSession, EbError> {
-        let cfg = match opts.noise.profile {
-            NoiseProfile::Ideal => self.cfg.clone(),
-            NoiseProfile::Noisy => self.cfg.clone().with_device(DeviceParams::noisy()),
-        };
-        let drift = validated_drift(&opts.noise, &cfg.device)?;
-        // The session-level fault profile wins over any backend-level one.
-        let fault = match validated_fault(&opts.noise)? {
-            Some(f) => Some(f),
-            None => cfg.fault,
-        };
-        AnalogSession::build("epcm", LayerPlan::new(net)?, |m| {
-            let mut rng = StdRng::seed_from_u64(layer_seed(opts.noise.seed, m.layer));
-            let mut layer_cfg = cfg.clone();
-            // Every layer gets its own fault-map seed: physically distinct
-            // crossbars must not share a defect pattern.
-            layer_cfg.fault = fault.map(|f| f.with_seed(layer_seed(f.seed, m.layer)));
-            let mut mapped = TacitMapped::program(&m.weights, &layer_cfg, &mut rng)?;
-            if let Some(t_ratio) = drift {
-                mapped.set_drift_t_ratio(t_ratio);
-            }
-            Ok(MappedMat::new(MappedVcore::Electronic(mapped), rng))
-        })
     }
 }
 
@@ -120,69 +87,215 @@ impl Backend for EpcmBackend {
         replicas: usize,
         restore: Option<Prepared>,
     ) -> Result<Vec<Box<dyn Session>>, EbError> {
-        let base = match restore {
-            Some(prepared) => restore_session(
-                net,
-                prepared,
-                PreparedBackend::Epcm,
-                ((self.cfg.rows, self.cfg.cols), None),
-            )?,
-            None => self.program_session(net, opts)?,
-        };
-        Ok(mint_replicas(
-            base,
-            opts.noise.seed,
-            replicas,
-            AnalogSession::replicate,
-        ))
+        Ok(self.0.session(net, opts, restore)?.mint(opts, replicas))
     }
 
     fn export_prepared(&self, net: &Bnn, opts: &SessionOpts) -> Result<Option<Prepared>, EbError> {
-        let session = self.program_session(net, opts)?;
-        Ok(Some(export_session(session, opts, PreparedState::Epcm)))
+        self.0.export(net, opts, PreparedState::Epcm)
     }
 }
 
-/// Rebuilds an ePCM or photonic session from a prepared-state snapshot —
-/// the restore branch of both backends' [`Backend::prepare_replicas`].
-/// The snapshot's layers must fit `net`'s layer plan on the backend's
-/// `configured` crossbar shape and (photonic) WDM capacity
-/// ([`LayerPlan::check_fit`]).
-fn restore_session(
-    net: &Bnn,
-    prepared: Prepared,
-    backend: PreparedBackend,
-    configured: ((usize, usize), Option<usize>),
-) -> Result<AnalogSession, EbError> {
-    let mats = match (prepared.state, backend) {
-        (PreparedState::Epcm(mats), PreparedBackend::Epcm)
-        | (PreparedState::Photonic(mats), PreparedBackend::Photonic) => mats,
-        (state, _) => {
-            return Err(EbError::Config(format!(
-                "artifact prepared state holds {} substrate state, which the {} backend \
-                 cannot restore",
-                state.backend().name(),
-                backend.name()
-            )))
-        }
-    };
-    let plan = LayerPlan::new(net)?;
-    plan.check_fit(mats.iter().map(|m| &m.vcore), configured)?;
-    let mats = mats.into_iter().map(MappedMat::from).collect();
-    Ok(AnalogSession::new(backend.name(), Arc::new(plan), mats))
+/// Serves inference on simulated oPCM crossbars behind the full optical
+/// chain (transmitter → crossbar → photodetector/TIA), packing up to `K`
+/// half-drive pairs into each WDM MMM step.
+#[derive(Debug, Clone)]
+pub struct PhotonicBackend(Crossbar);
+
+impl PhotonicBackend {
+    /// A backend over explicit optical crossbar geometry and WDM capacity.
+    pub fn new(rows: usize, cols: usize, capacity: usize) -> Self {
+        Self(Crossbar {
+            kind: PreparedBackend::Photonic,
+            substrate: Substrate::Optical((rows, cols), capacity.max(1)),
+        })
+    }
 }
 
-/// Captures a freshly programmed session's layers as the prepared state
-/// `state` builds — the export body of both analog backends.
-fn export_session(
-    session: AnalogSession,
-    opts: &SessionOpts,
-    state: fn(Vec<PreparedMat>) -> PreparedState,
-) -> Prepared {
-    let state = state(session.mats.into_iter().map(PreparedMat::from).collect());
-    Prepared {
-        meta: captured_meta(state.backend(), &opts.noise),
-        state,
+impl Default for PhotonicBackend {
+    /// Paper-class 256×256 oPCM crossbars at `K = 16`.
+    fn default() -> Self {
+        Self::new(256, 256, PAPER_WDM_CAPACITY)
+    }
+}
+
+impl Backend for PhotonicBackend {
+    fn name(&self) -> &'static str {
+        "photonic"
+    }
+
+    fn prepare_replicas(
+        &self,
+        net: &Bnn,
+        opts: &SessionOpts,
+        replicas: usize,
+        restore: Option<Prepared>,
+    ) -> Result<Vec<Box<dyn Session>>, EbError> {
+        Ok(self.0.session(net, opts, restore)?.mint(opts, replicas))
+    }
+
+    fn export_prepared(&self, net: &Bnn, opts: &SessionOpts) -> Result<Option<Prepared>, EbError> {
+        self.0.export(net, opts, PreparedState::Photonic)
+    }
+}
+
+/// What a crossbar backend programs its matrix layers onto.
+#[derive(Debug, Clone)]
+enum Substrate {
+    /// 1T1R ePCM crossbars in TacitMap layout under this configuration.
+    Electronic(XbarConfig),
+    /// `(rows, cols)` oPCM crossbars packing up to `K` WDM lanes per step.
+    Optical((usize, usize), usize),
+}
+
+/// The one crossbar backend body: what the ePCM, photonic and simulator
+/// backends run to program, restore and export a session. `kind` names
+/// the sessions and their prepared state; `substrate` is programmed.
+#[derive(Debug, Clone)]
+pub(crate) struct Crossbar {
+    kind: PreparedBackend,
+    substrate: Substrate,
+}
+
+impl Crossbar {
+    /// The simulator's body: optical crossbars at the design's shape and
+    /// WDM capacity on EinsteinBarrier (the design kind `eb_core::compile`
+    /// maps onto WDM lanes), electronic under its crossbar configuration
+    /// otherwise.
+    pub(crate) fn simulating(design: &Design) -> Self {
+        let xbar = &design.xbar;
+        let substrate = match design.kind {
+            DesignKind::EinsteinBarrier => {
+                Substrate::Optical((xbar.rows, xbar.cols), design.wdm_capacity.max(1))
+            }
+            _ => Substrate::Electronic(xbar.clone()),
+        };
+        Self {
+            kind: PreparedBackend::Simulator,
+            substrate,
+        }
+    }
+
+    /// A session freshly programmed for `net`, or restored from
+    /// `restore` when given — the base session of
+    /// [`Backend::prepare_replicas`].
+    pub(crate) fn session(
+        &self,
+        net: &Bnn,
+        opts: &SessionOpts,
+        restore: Option<Prepared>,
+    ) -> Result<AnalogSession, EbError> {
+        match restore {
+            Some(prepared) => self.restore(net, opts, prepared),
+            None => self.program(net, opts),
+        }
+    }
+
+    /// The substrate as a session under `noise` programs it, with the
+    /// drift read-time ratio to apply: on electronic crossbars the noisy
+    /// profile's device model and the session's fault profile, which wins
+    /// over a configured one. Rejects what the substrate cannot honor.
+    fn configured(&self, noise: &NoiseConfig) -> Result<(Substrate, Option<f64>), EbError> {
+        let Substrate::Electronic(cfg) = &self.substrate else {
+            reject_cell_effects(noise, self.kind.name())?;
+            return Ok((self.substrate.clone(), None));
+        };
+        let mut cfg = cfg.clone();
+        if noise.profile == NoiseProfile::Noisy {
+            cfg = cfg.with_device(DeviceParams::noisy());
+        }
+        let drift = validated_drift(noise, &cfg.device)?;
+        if let Some(fault) = validated_fault(noise)? {
+            cfg.fault = Some(fault);
+        }
+        Ok((Substrate::Electronic(cfg), drift))
+    }
+
+    /// Programs every matrix layer of `net` onto fresh crossbars, each
+    /// from an RNG seeded at its [`layer_seed`], which the session keeps
+    /// for that layer's execution noise.
+    fn program(&self, net: &Bnn, opts: &SessionOpts) -> Result<AnalogSession, EbError> {
+        let (substrate, drift) = self.configured(&opts.noise)?;
+        let plan = LayerPlan::new(net)?;
+        let mats = plan
+            .matrices()
+            .map(|m| {
+                let mut rng = StdRng::seed_from_u64(layer_seed(opts.noise.seed, m.layer));
+                let vcore = match &substrate {
+                    Substrate::Electronic(cfg) => {
+                        let mut cfg = cfg.clone();
+                        // Every layer gets its own fault-map seed: physically
+                        // distinct crossbars must not share a defect pattern.
+                        cfg.fault = cfg.fault.map(|f| f.with_seed(layer_seed(f.seed, m.layer)));
+                        let mut mapped = TacitMapped::program(&m.weights, &cfg, &mut rng)?;
+                        if let Some(t_ratio) = drift {
+                            mapped.set_drift_t_ratio(t_ratio);
+                        }
+                        MappedVcore::Electronic(mapped)
+                    }
+                    Substrate::Optical((rows, cols), k) => {
+                        let mut mapped =
+                            OpticalTacitMapped::program(&m.weights, *rows, *cols, *k, &mut rng)?;
+                        if opts.noise.profile == NoiseProfile::Noisy {
+                            mapped.set_receiver(Receiver::noisy());
+                        }
+                        MappedVcore::Optical(mapped)
+                    }
+                };
+                Ok(MappedMat::new(vcore, rng))
+            })
+            .collect::<Result<_, EbError>>()?;
+        Ok(AnalogSession::new(self.kind.name(), Arc::new(plan), mats))
+    }
+
+    /// Rebuilds a session from a prepared-state snapshot this backend
+    /// exported. Its layers must fit `net`'s layer plan on the configured
+    /// crossbar shape and WDM capacity ([`LayerPlan::check_fit`]).
+    fn restore(
+        &self,
+        net: &Bnn,
+        opts: &SessionOpts,
+        prepared: Prepared,
+    ) -> Result<AnalogSession, EbError> {
+        // Meta↔opts agreement is validated by the caller; the substrate
+        // capability checks still apply to crafted artifacts.
+        self.configured(&opts.noise)?;
+        let mats = match (prepared.state, self.kind) {
+            (PreparedState::Epcm(mats), PreparedBackend::Epcm)
+            | (PreparedState::Photonic(mats), PreparedBackend::Photonic)
+            | (PreparedState::Simulator { mats, .. }, PreparedBackend::Simulator) => mats,
+            (state, kind) => {
+                return Err(EbError::Config(format!(
+                    "artifact prepared state holds {} substrate state, which the {} backend \
+                     cannot restore",
+                    state.backend().name(),
+                    kind.name()
+                )))
+            }
+        };
+        let substrate = match &self.substrate {
+            Substrate::Electronic(cfg) => ((cfg.rows, cfg.cols), None),
+            Substrate::Optical(shape, k) => (*shape, Some(*k)),
+        };
+        let plan = LayerPlan::new(net)?;
+        plan.check_fit(mats.iter().map(|m| &m.vcore), substrate)?;
+        let mats = mats.into_iter().map(MappedMat::from).collect();
+        Ok(AnalogSession::new(self.kind.name(), Arc::new(plan), mats))
+    }
+
+    /// Programs `net` as [`Backend::prepare_replicas`] would and captures
+    /// its layers as the prepared state `state` builds.
+    pub(crate) fn export(
+        &self,
+        net: &Bnn,
+        opts: &SessionOpts,
+        state: impl FnOnce(Vec<PreparedMat>) -> PreparedState,
+    ) -> Result<Option<Prepared>, EbError> {
+        let session = self.program(net, opts)?;
+        let state = state(session.mats.into_iter().map(PreparedMat::from).collect());
+        Ok(Some(Prepared {
+            meta: captured_meta(state.backend(), &opts.noise),
+            state,
+        }))
     }
 }
 
@@ -192,10 +305,7 @@ fn export_session(
 ///
 /// Returns the validated `t/t₀` to apply, or `None` when no drift was
 /// requested.
-fn validated_drift(
-    noise: &crate::session::NoiseConfig,
-    device: &DeviceParams,
-) -> Result<Option<f64>, EbError> {
+fn validated_drift(noise: &NoiseConfig, device: &DeviceParams) -> Result<Option<f64>, EbError> {
     let Some(t_ratio) = noise.drift_t_ratio else {
         return Ok(None);
     };
@@ -215,149 +325,35 @@ fn validated_drift(
     Ok(Some(t_ratio))
 }
 
-/// Validates a requested session-level fault profile for the ePCM
-/// backend: rates must form a probability assignment, and a vacuous
-/// (all-zero) profile normalizes to `None` — it is the identity and
-/// guaranteed bit-exact to the no-fault baseline.
-fn validated_fault(noise: &crate::session::NoiseConfig) -> Result<Option<FaultConfig>, EbError> {
+/// Validates a requested session-level fault profile: rates must form a
+/// probability assignment, and a vacuous (all-zero) profile normalizes to
+/// `None` — it is the identity and guaranteed bit-exact to the no-fault
+/// baseline.
+fn validated_fault(noise: &NoiseConfig) -> Result<Option<FaultConfig>, EbError> {
     let Some(fault) = noise.fault else {
         return Ok(None);
     };
     fault.validate()?;
-    Ok(if fault.is_vacuous() {
-        None
-    } else {
-        Some(fault)
-    })
+    Ok((!fault.is_vacuous()).then_some(fault))
 }
 
-/// Rejects an *active* fault profile on a substrate that has no
-/// electronic cells to fault — the same no-silent-fallback rule as
-/// drift. Vacuous profiles are the identity and pass.
-pub(crate) fn reject_active_fault(
-    noise: &crate::session::NoiseConfig,
-    substrate: &str,
-) -> Result<(), EbError> {
-    let Some(fault) = noise.fault else {
-        return Ok(());
-    };
-    fault.validate()?;
-    if fault.is_vacuous() {
-        return Ok(());
+/// Rejects drift and an *active* fault profile on a `backend` that has no
+/// ePCM cells to drift or fault — the no-silent-fallback rule. Vacuous
+/// fault profiles are the identity and pass.
+pub(crate) fn reject_cell_effects(noise: &NoiseConfig, backend: &str) -> Result<(), EbError> {
+    if noise.drift_t_ratio.is_some() {
+        return Err(EbError::Config(format!(
+            "the {backend} backend does not model resistance drift; unset \
+             NoiseConfig::drift_t_ratio or use BackendKind::Epcm"
+        )));
     }
-    Err(EbError::Config(format!(
-        "the {substrate} backend does not model ePCM cell faults; unset NoiseConfig::fault \
-         or use BackendKind::Epcm"
-    )))
-}
-
-/// Serves inference on simulated oPCM crossbars behind the full optical
-/// chain (transmitter → crossbar → photodetector/TIA), packing up to `K`
-/// half-drive pairs into each WDM MMM step.
-#[derive(Debug, Clone)]
-pub struct PhotonicBackend {
-    rows: usize,
-    cols: usize,
-    capacity: usize,
-}
-
-impl PhotonicBackend {
-    /// A backend over explicit optical crossbar geometry and WDM capacity.
-    pub fn new(rows: usize, cols: usize, capacity: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            capacity: capacity.max(1),
-        }
+    if validated_fault(noise)?.is_some() {
+        return Err(EbError::Config(format!(
+            "the {backend} backend does not model ePCM cell faults; unset NoiseConfig::fault \
+             or use BackendKind::Epcm"
+        )));
     }
-
-    /// WDM capacity `K` of prepared sessions.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl Default for PhotonicBackend {
-    /// Paper-class 256×256 oPCM crossbars at `K = 16`.
-    fn default() -> Self {
-        Self::new(256, 256, PAPER_WDM_CAPACITY)
-    }
-}
-
-impl PhotonicBackend {
-    /// Rejects the noise knobs the optical substrate cannot host.
-    fn validate_opts(&self, opts: &SessionOpts) -> Result<(), EbError> {
-        if opts.noise.drift_t_ratio.is_some() {
-            return Err(EbError::Config(
-                "the photonic backend does not model resistance drift (oPCM sidesteps it); \
-                 unset NoiseConfig::drift_t_ratio or use BackendKind::Epcm"
-                    .into(),
-            ));
-        }
-        reject_active_fault(&opts.noise, "photonic")
-    }
-
-    /// Programs every matrix layer of `net` onto fresh optical crossbars
-    /// — the shared body under [`Backend::prepare_replicas`] and
-    /// [`Backend::export_prepared`].
-    fn program_session(&self, net: &Bnn, opts: &SessionOpts) -> Result<AnalogSession, EbError> {
-        self.validate_opts(opts)?;
-        AnalogSession::build("photonic", LayerPlan::new(net)?, |m| {
-            let mut rng = StdRng::seed_from_u64(layer_seed(opts.noise.seed, m.layer));
-            let mut mapped = OpticalTacitMapped::program(
-                &m.weights,
-                self.rows,
-                self.cols,
-                self.capacity,
-                &mut rng,
-            )?;
-            if opts.noise.profile == NoiseProfile::Noisy {
-                mapped.set_receiver(Receiver::noisy());
-            }
-            Ok(MappedMat::new(MappedVcore::Optical(mapped), rng))
-        })
-    }
-}
-
-impl Backend for PhotonicBackend {
-    fn name(&self) -> &'static str {
-        "photonic"
-    }
-
-    fn prepare_replicas(
-        &self,
-        net: &Bnn,
-        opts: &SessionOpts,
-        replicas: usize,
-        restore: Option<Prepared>,
-    ) -> Result<Vec<Box<dyn Session>>, EbError> {
-        let base = match restore {
-            Some(prepared) => {
-                // Meta↔opts agreement is validated by the caller; the
-                // substrate capability checks still apply to crafted
-                // artifacts.
-                self.validate_opts(opts)?;
-                restore_session(
-                    net,
-                    prepared,
-                    PreparedBackend::Photonic,
-                    ((self.rows, self.cols), Some(self.capacity)),
-                )?
-            }
-            None => self.program_session(net, opts)?,
-        };
-        Ok(mint_replicas(
-            base,
-            opts.noise.seed,
-            replicas,
-            AnalogSession::replicate,
-        ))
-    }
-
-    fn export_prepared(&self, net: &Bnn, opts: &SessionOpts) -> Result<Option<Prepared>, EbError> {
-        let session = self.program_session(net, opts)?;
-        Ok(Some(export_session(session, opts, PreparedState::Photonic)))
-    }
+    Ok(())
 }
 
 /// Derives a per-layer RNG stream from the session seed so every mapped
@@ -378,14 +374,13 @@ pub(crate) struct MappedMat {
 
 impl MappedMat {
     /// A layer that has carried no lanes yet, drawing its noise from `rng`.
-    pub(crate) fn new(vcore: MappedVcore, rng: StdRng) -> Self {
+    fn new(vcore: MappedVcore, rng: StdRng) -> Self {
         Self {
             vcore,
             rng,
             lanes: 0,
         }
     }
-
     /// Executes a batch of borrowed `(pos, neg)` half-drive pairs, one
     /// result row per pair (see [`MappedVcore::activate_pairs`]).
     fn activate_pairs(&mut self, pairs: &[(&BitVec, &BitVec)]) -> Result<Vec<Vec<u32>>, EbError> {
@@ -467,7 +462,7 @@ pub(crate) struct AnalogSession {
 impl AnalogSession {
     /// Serves `mats`, one per matrix of `plan` in network order, which
     /// the caller programmed for it or checked against it.
-    pub(crate) fn new(name: &'static str, plan: Arc<LayerPlan>, mats: Vec<MappedMat>) -> Self {
+    fn new(name: &'static str, plan: Arc<LayerPlan>, mats: Vec<MappedMat>) -> Self {
         Self {
             name,
             plan,
@@ -478,21 +473,31 @@ impl AnalogSession {
         }
     }
 
-    /// Programs every matrix of `plan` through `program`, in network
-    /// order.
-    fn build(
-        name: &'static str,
-        plan: LayerPlan,
-        program: impl FnMut(&MatrixStep) -> Result<MappedMat, EbError>,
-    ) -> Result<Self, EbError> {
-        let mats = plan.matrices().map(program).collect::<Result<_, _>>()?;
-        Ok(Self::new(name, Arc::new(plan), mats))
-    }
-
     /// Reports modeled cost as `ledger` × served inferences.
     pub(crate) fn charged(mut self, ledger: SimStats) -> Self {
         self.ledger = Some(Arc::new(ledger));
         self
+    }
+
+    /// Replicas of the programmed layers, sharing their crossbar cores
+    /// ([`MappedVcore::replicate`]), in network order.
+    pub(crate) fn vcores(&self) -> Vec<MappedVcore> {
+        self.mats.iter().map(|m| m.vcore.replicate()).collect()
+    }
+
+    /// Boxes this session as replica 0 plus `replicas − 1` shared-core
+    /// replicas [`AnalogSession::replicate`]d at the session seed plus
+    /// `i` — the one place the per-replica seed rule of
+    /// [`Backend::prepare_replicas`] lives.
+    pub(crate) fn mint(self, opts: &SessionOpts, replicas: usize) -> Vec<Box<dyn Session>> {
+        let minted: Vec<Self> = (1..replicas)
+            .map(|i| self.replicate(opts.noise.seed.wrapping_add(i as u64)))
+            .collect();
+        std::iter::once(self)
+            .chain(minted)
+            .take(replicas)
+            .map(|s| Box::new(s) as Box<dyn Session>)
+            .collect()
     }
 
     /// Mints a replica that shares this session's programmed crossbar
@@ -501,7 +506,7 @@ impl AnalogSession {
     /// [`layer_seed`] derivation a fresh prepare at that seed would use.
     /// Only *execution* noise draws from the new streams — the programmed
     /// conductances are the original's, shared.
-    pub(crate) fn replicate(&self, replica_seed: u64) -> Self {
+    fn replicate(&self, replica_seed: u64) -> Self {
         let mats = self
             .mats
             .iter()
@@ -1088,7 +1093,8 @@ mod tests {
         )
         .unwrap();
         let session = EpcmBackend::default()
-            .program_session(&net, &SessionOpts::default())
+            .0
+            .program(&net, &SessionOpts::default())
             .unwrap();
         let crossbars: usize = session.mats.iter().map(|m| m.vcore.core_bytes()).sum();
         let offsets = 16 * 16 * 8 * std::mem::size_of::<i64>();

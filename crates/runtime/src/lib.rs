@@ -14,9 +14,9 @@
 //!   (analog VMM with batched device resolution).
 //! * [`BackendKind::Photonic`] — TacitMap on oPCM crossbars behind the
 //!   full optical chain, packing drives into WDM MMM lanes.
-//! * [`BackendKind::Simulator`] — the compiled accelerator: the
-//!   compiler's programmed crossbars served through the same batched
-//!   lowering, charged the compiled program's modeled latency/energy.
+//! * [`BackendKind::Simulator`] — the compiled accelerator: a design's
+//!   crossbars, programmed and served as the ePCM or photonic backend's,
+//!   charged the compiled program's modeled latency/energy.
 //!
 //! In their noiseless (default) configurations, all four are bit-exact
 //! against each other — the paper's "golden model vs. analog substrates"

@@ -191,25 +191,6 @@ pub trait Backend: Send + Sync {
     }
 }
 
-/// Boxes `base` as replica 0 plus `replicas − 1` shared-core replicas
-/// `replicate(&base, base_seed + i)` — the one place the per-replica seed
-/// rule of [`Backend::prepare_replicas`] lives.
-pub(crate) fn mint_replicas<S: Session + 'static>(
-    base: S,
-    base_seed: u64,
-    replicas: usize,
-    replicate: impl Fn(&S, u64) -> S,
-) -> Vec<Box<dyn Session>> {
-    let minted: Vec<S> = (1..replicas)
-        .map(|i| replicate(&base, base_seed.wrapping_add(i as u64)))
-        .collect();
-    std::iter::once(base)
-        .chain(minted)
-        .take(replicas)
-        .map(|s| Box::new(s) as Box<dyn Session>)
-        .collect()
-}
-
 /// The session of a one-replica prepare.
 pub(crate) fn sole_session(
     backend: &str,

@@ -5,6 +5,7 @@ use crate::error::EbError;
 use crate::session::{Backend, Session, SessionMemory, SessionOpts, SessionStats};
 use eb_artifact::Prepared;
 use eb_bitnn::{Bnn, ForwardScratch, Tensor};
+use eb_core::LayerPlan;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -12,7 +13,7 @@ use std::time::Instant;
 /// model every analog backend is measured against.
 ///
 /// `prepare` validates nothing beyond the network itself (the software
-/// path hosts any valid [`Bnn`]); sessions reuse one [`ForwardScratch`]
+/// path hosts any [`Bnn`] whose layer kinds chain); sessions reuse one [`ForwardScratch`]
 /// across single inferences and the rayon batch path (one scratch per
 /// worker) for `infer_batch`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,23 +42,15 @@ impl Backend for SoftwareBackend {
         // The software substrate is stateless beyond scratch buffers, so
         // every replica reads one `Arc`'d copy of the weights. (This
         // path draws no noise, so the per-replica seed rule is vacuous.)
-        validate_opts(opts)?;
+        crate::analog::reject_cell_effects(&opts.noise, self.name())?;
+        // A layer stack whose activation kinds do not chain would fail
+        // every request; the layer plan's chaining rule rejects it here.
+        LayerPlan::new(net)?;
         let shared = Arc::new(net.clone());
         Ok((0..replicas)
             .map(|_| Box::new(SoftwareSession::new(Arc::clone(&shared))) as Box<dyn Session>)
             .collect())
     }
-}
-
-fn validate_opts(opts: &SessionOpts) -> Result<(), EbError> {
-    if opts.noise.drift_t_ratio.is_some() {
-        return Err(EbError::Config(
-            "the software backend models no devices and therefore no resistance drift; \
-             unset NoiseConfig::drift_t_ratio or use BackendKind::Epcm"
-                .into(),
-        ));
-    }
-    crate::analog::reject_active_fault(&opts.noise, "software")
 }
 
 /// A prepared software serving session. The network is `Arc`-shared:

@@ -203,7 +203,7 @@ fn fresh_noisy_exports_are_pinned() {
     for (kind, want_len, want_hash) in [
         (BackendKind::Epcm, 137_789, 0xe2f1_55aa_16fb_6368),
         (BackendKind::Photonic, 142_935, 0xbd1a_78c7_a70a_8f46),
-        (BackendKind::Simulator, 143_109, 0x098f_1d6b_b133_59c8),
+        (BackendKind::Simulator, 143_155, 0xbc34_4bc4_86ae_beef),
     ] {
         let runtime = Runtime::builder()
             .backend(kind)

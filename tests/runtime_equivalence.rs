@@ -14,7 +14,8 @@ use einstein_barrier::bitnn::{
 };
 use einstein_barrier::core::{compile, Design, DesignKind, Machine};
 use einstein_barrier::{
-    BackendKind, EbError, NoiseConfig, NoiseProfile, Runtime, SimulatorBackend,
+    Backend, BackendKind, EbError, EpcmBackend, NoiseConfig, NoiseProfile, PhotonicBackend,
+    Runtime, SimulatorBackend,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -149,10 +150,10 @@ fn stats_expose_substrate_counters() {
 }
 
 /// Layer stacks whose shapes chain (so `Bnn::new` accepts them) but whose
-/// activation kinds do not are rejected when a crossbar backend prepares,
-/// as a configuration error, instead of failing every later request.
+/// activation kinds do not are rejected when any backend prepares, as a
+/// configuration error, instead of failing every later request.
 #[test]
-fn crossbar_backends_reject_unchained_layer_kinds_at_prepare() {
+fn every_backend_rejects_unchained_layer_kinds_at_prepare() {
     let mut rng = StdRng::seed_from_u64(41);
     let fixed = |rng: &mut StdRng| Layer::FixedLinear(FixedLinear::random("fx", 8, 8, rng));
     let binary = |rng: &mut StdRng| Layer::BinLinear(BinLinear::random("bin", 8, 8, rng));
@@ -170,11 +171,7 @@ fn crossbar_backends_reject_unchained_layer_kinds_at_prepare() {
     ];
     for (what, layers) in misfits {
         let net = Bnn::new(what, Shape::Flat(8), layers).unwrap();
-        for kind in [
-            BackendKind::Epcm,
-            BackendKind::Photonic,
-            BackendKind::Simulator,
-        ] {
+        for kind in BackendKind::all() {
             let got = Runtime::builder().backend(kind).prepare(&net);
             assert!(
                 matches!(got, Err(EbError::Config(_))),
@@ -356,54 +353,87 @@ fn simulator_serves_machine_outputs_and_charges_its_stats() {
     }
 }
 
+/// Logit bits of `pinned_mlp` served by `backend` under the noisy
+/// profile at seed 5, batched then single.
+fn noisy_pinned_logits(backend: Box<dyn Backend>) -> Vec<Vec<u32>> {
+    let (net, xs) = pinned_mlp();
+    let mut session = Runtime::builder()
+        .backend_impl(backend)
+        .noise(NoiseConfig {
+            seed: 5,
+            profile: NoiseProfile::Noisy,
+            ..Default::default()
+        })
+        .prepare(&net)
+        .unwrap();
+    let mut got = session.infer_batch(&xs).unwrap();
+    got.extend(xs.iter().map(|x| session.infer(x).unwrap()));
+    got.iter()
+        .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+/// One programming rule: the simulator programs a design's crossbars as
+/// the ePCM or photonic backend over the same crossbars does, so at the
+/// same seed under the noisy profile both serve the same logit bits.
+#[test]
+fn simulator_programs_like_the_crossbar_backend_of_its_design() {
+    let tacitmap = Design::tacitmap_epcm();
+    let einstein_barrier = Design::einstein_barrier();
+    let (rows, cols) = (einstein_barrier.xbar.rows, einstein_barrier.xbar.cols);
+    let k = einstein_barrier.wdm_capacity;
+    let pairs: [(Design, Box<dyn Backend>); 2] = [
+        (
+            tacitmap.clone(),
+            Box::new(EpcmBackend::new(tacitmap.xbar.clone())),
+        ),
+        (
+            einstein_barrier,
+            Box::new(PhotonicBackend::new(rows, cols, k)),
+        ),
+    ];
+    for (design, crossbar) in pairs {
+        let what = design.kind.name();
+        let simulated = noisy_pinned_logits(Box::new(SimulatorBackend::new(design)));
+        assert_eq!(simulated, noisy_pinned_logits(crossbar), "{what}");
+    }
+}
+
 #[test]
 fn noisy_simulator_stream_is_pinned() {
-    // The simulator seeds one execution RNG per matrix layer from the
-    // RNG compilation leaves behind; these logits pin that stream on both
-    // paper designs, batched then single.
-    let (net, xs) = pinned_mlp();
-    let logits = |design: Design| -> Vec<Vec<u32>> {
-        let mut session = Runtime::builder()
-            .backend_impl(Box::new(SimulatorBackend::new(design)))
-            .noise(NoiseConfig {
-                seed: 5,
-                profile: NoiseProfile::Noisy,
-                ..Default::default()
-            })
-            .prepare(&net)
-            .unwrap();
-        let mut got = session.infer_batch(&xs).unwrap();
-        got.extend(xs.iter().map(|x| session.infer(x).unwrap()));
-        got.iter()
-            .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
-            .collect()
-    };
+    // The simulator programs every matrix layer from its own seeded RNG
+    // and keeps it for execution noise, as the ePCM and photonic backends
+    // do; these logits pin that stream on both paper designs, batched
+    // then single.
+    let logits = |design: Design| noisy_pinned_logits(Box::new(SimulatorBackend::new(design)));
     // On TacitMap-ePCM the noisy devices move logits, and the batch and
-    // the singles read different draws.
+    // the singles read different draws. These are the bits the default
+    // ePCM backend serves (`noisy_epcm_stream_is_pinned`): the design's
+    // 16 ADCs and its timings change its modeled cost, not these values.
     let tacitmap: [[u32; 10]; 6] = [
         [
-            1066395782, 1066241544, 3163234624, 1038900488, 3211559434, 1068206485, 3204822341,
-            3223818491, 1066391310, 1071452901,
+            1067250625, 1060816185, 3211903763, 3185089288, 1048461780, 1059950964, 1011512192,
+            3199545680, 1068224441, 1073803296,
         ],
         [
-            3205042236, 1059601940, 1049700496, 1065952216, 3213455037, 3211965034, 3213104916,
-            1079350919, 3218885201, 1046518132,
+            3204977352, 3190224364, 1059138875, 3192015004, 3186817728, 3195324352, 3169691744,
+            1073832376, 3224952338, 1058287810,
         ],
         [
-            3205800187, 1041536600, 3217294052, 3223478074, 3224901300, 1068609259, 1061674819,
-            1065396152, 1029760400, 1066317918,
+            3206530313, 3205976064, 3211348331, 3214162800, 3222945098, 1059122791, 1075051548,
+            3187709832, 1072580767, 3177800288,
         ],
         [
-            1061337843, 3166782528, 3212898378, 3201871146, 1066530299, 1068977645, 1055379284,
-            3220163454, 1069978943, 1075742412,
+            1069096269, 1070578068, 3181683072, 1053610974, 3189919140, 1064630024, 3209479910,
+            3214768607, 1057872004, 1067896102,
         ],
         [
-            3205042236, 1059601940, 1049700496, 1065952216, 3213455037, 3211965034, 3213104916,
-            1079350919, 3218885201, 1046518132,
+            1059616233, 3214009178, 1026195584, 1068249554, 1048171268, 3223618542, 1070199311,
+            1060718273, 1055434378, 1064512626,
         ],
         [
-            3215185825, 3207086418, 3210644699, 3202594496, 3223266184, 1062615938, 1076469908,
-            3211476560, 1075495850, 1065080307,
+            3202167862, 3188727472, 3214995870, 3218969180, 3223313260, 1059877393, 1069842333,
+            1059603553, 1065776332, 1042369736,
         ],
     ];
     assert_eq!(
